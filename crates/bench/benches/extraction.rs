@@ -12,7 +12,8 @@ use retroweb_bench::build_movie_rules;
 use retroweb_html::parse;
 use retroweb_sitegen::{movie, MovieSiteSpec, MOVIE_COMPONENTS};
 use retrozilla::{
-    extract_cluster_html, extract_cluster_interpreted, extract_cluster_parallel, ClusterRules,
+    extract_cluster_html, extract_cluster_interpreted, extract_cluster_parallel_compiled_to,
+    ClusterRules, CollectSink,
 };
 
 fn bench_extraction(c: &mut Criterion) {
@@ -50,9 +51,15 @@ fn bench_extraction(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    std::hint::black_box(
-                        extract_cluster_parallel(&cluster, &pages, threads).failures.len(),
+                    let mut sink = CollectSink::new();
+                    extract_cluster_parallel_compiled_to(
+                        &cluster.compile(),
+                        &pages,
+                        threads,
+                        &mut sink,
                     )
+                    .expect("CollectSink never fails");
+                    std::hint::black_box(sink.into_result().failures.len())
                 })
             },
         );

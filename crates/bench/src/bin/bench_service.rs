@@ -62,12 +62,13 @@ use retroweb_service::testdata::{
 };
 use retroweb_service::{Client, Server, ServerConfig};
 use retrozilla::{
-    extract_cluster_parallel_compiled, extract_cluster_parallel_compiled_to, ClusterRules,
-    ClusterStore, ComponentName, DurableRepository, Format, MappingRule, Multiplicity, Optionality,
-    RuleRepository,
+    extract_cluster_parallel_compiled_to, ClusterRules, ClusterStore, CollectSink, CompiledCluster,
+    ComponentName, DurableRepository, Format, MappingRule, Multiplicity, Optionality,
+    RepositorySnapshot, RepositoryStats, RuleRepository, ShardedRepository,
 };
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Heap-tracking allocator: every live byte counted, peak retained, so
@@ -143,8 +144,10 @@ fn memory_run(
     } else {
         // The pre-streaming path: materialise the whole document, then
         // the whole response string.
-        let result = extract_cluster_parallel_compiled(rules, pages, threads);
-        let body = result.xml.to_string_with(2);
+        let mut sink = CollectSink::new();
+        extract_cluster_parallel_compiled_to(rules, pages, threads, &mut sink)
+            .expect("CollectSink never fails");
+        let body = sink.into_result().xml.to_string_with(2);
         body.len() as u64
     };
     let elapsed = started.elapsed().as_secs_f64();
@@ -167,7 +170,7 @@ struct ChurnRun {
 /// modes pay a real fsync per mutation — the difference is O(change)
 /// log appends vs O(repo) snapshot rewrites.
 fn churn_run(dir: &std::path::Path, repo_clusters: usize, mutations: usize, wal: bool) -> ChurnRun {
-    let base: Arc<dyn ClusterStore> = Arc::new(RuleRepository::new());
+    let base: Arc<dyn ClusterStore> = Arc::new(ShardedRepository::new(1));
     for i in 0..repo_clusters {
         let mut c = cluster_from(&demo_cluster_json());
         c.cluster = format!("cluster-{i:04}");
@@ -203,6 +206,62 @@ fn churn_run(dir: &std::path::Path, repo_clusters: usize, mutations: usize, wal:
 }
 
 // ---- contention scenario ---------------------------------------------------
+
+/// The contention baseline's store: the monolithic pre-sharding
+/// design, kept here because the library no longer ships it. One `RwLock` map (a
+/// [`RuleRepository`]) for the rules and one `RwLock` map for the
+/// compiled cache, which `record` and `remove` invalidate and a cache
+/// miss fills while holding the cache-wide write lock.
+#[derive(Debug, Default)]
+struct LockedStore {
+    rules: RuleRepository,
+    compiled: RwLock<BTreeMap<String, Arc<CompiledCluster>>>,
+}
+
+impl ClusterStore for LockedStore {
+    fn get(&self, cluster: &str) -> Option<ClusterRules> {
+        self.rules.get(cluster)
+    }
+
+    fn compiled(&self, cluster: &str) -> Option<Arc<CompiledCluster>> {
+        if let Some(hit) = self.compiled.read().expect("lock poisoned").get(cluster) {
+            return Some(Arc::clone(hit));
+        }
+        // Build under the cache write lock, so a concurrent `record`
+        // either lands first or removes the entry inserted here.
+        let mut cache = self.compiled.write().expect("lock poisoned");
+        if let Some(hit) = cache.get(cluster) {
+            return Some(Arc::clone(hit));
+        }
+        let compiled = Arc::new(self.rules.get(cluster)?.compile());
+        cache.insert(cluster.to_string(), Arc::clone(&compiled));
+        Some(compiled)
+    }
+
+    fn record(&self, rules: ClusterRules) {
+        let name = rules.cluster.clone();
+        self.rules.record(rules);
+        self.compiled.write().expect("lock poisoned").remove(&name);
+    }
+
+    fn remove(&self, cluster: &str) -> bool {
+        let existed = self.rules.remove(cluster);
+        self.compiled.write().expect("lock poisoned").remove(cluster);
+        existed
+    }
+
+    fn snapshot(&self) -> RepositorySnapshot {
+        self.rules.snapshot()
+    }
+
+    fn stats(&self) -> RepositoryStats {
+        RepositoryStats {
+            clusters: self.rules.len(),
+            compiled_cache_entries: self.compiled.read().expect("lock poisoned").len(),
+            ..RepositoryStats::default()
+        }
+    }
+}
 
 /// Threads in the contention workload — fixed at 8 (the acceptance
 /// criterion's number), independent of host cores: lock convoys and
@@ -344,7 +403,7 @@ fn contention_scenario(quick: bool) -> Json {
     // the PR-4 serving stack. Seeded in memory (its "loaded snapshot"
     // base state) before the WAL attaches.
     let mono_durable = {
-        let store: Arc<dyn ClusterStore> = Arc::new(RuleRepository::new());
+        let store: Arc<dyn ClusterStore> = Arc::new(LockedStore::default());
         for name in &names {
             store.record(contention_cluster(name, 0));
             store.compiled(name).expect("warm the compiled cache");

@@ -13,17 +13,30 @@
 //! reported as a [`RuleFailure`].
 //!
 //! All cluster-level entry points run the **compiled** rule path: the
-//! rule set is lowered once ([`ClusterRules::compile`], cached by
-//! `RuleRepository`) and applied to every page through a per-page
-//! [`Executor`], instead of re-walking each rule's AST per page.
+//! rule set is lowered once ([`ClusterRules::compile`], cached per
+//! cluster by [`crate::store::ShardedRepository`]) and applied to every
+//! page through a per-page [`Executor`], instead of re-walking each
+//! rule's AST per page.
+//!
+//! The public surface is deliberately small:
+//!
+//! - [`extract_page_compiled`] — one parsed page;
+//! - [`extract_cluster_compiled`] / [`extract_cluster_compiled_to`] —
+//!   parsed pages, materialised or streamed;
+//! - [`extract_cluster_parallel_compiled_to`] — raw HTML, parsed and
+//!   extracted across worker threads (the batch driver);
+//! - [`extract_cluster_html`] — the one uncompiled convenience, a
+//!   single-threaded run of the batch driver;
+//! - [`extract_cluster_interpreted`] and
+//!   [`extract_page_compiled_per_rule`] — oracles the differential
+//!   tests and benchmarks hold the fused path against.
 //!
 //! Output goes through the [`crate::sink::ExtractionSink`] seam: the
 //! `*_to` drivers push each page's [`crate::sink::PageRecord`] as it
 //! completes (the parallel driver reorders worker output through a
 //! bounded sequencer, so emission order is deterministic and buffering
-//! stays O(threads)); the classic [`extract_cluster`] /
-//! [`extract_cluster_parallel`] entry points are thin wrappers driving
-//! a [`CollectSink`].
+//! stays O(threads)); the materialising entry points drive a
+//! [`CollectSink`].
 
 use crate::model::{Format, MappingRule, Multiplicity, Optionality};
 use crate::repository::{ClusterRules, CompiledCluster, StructureNode};
@@ -222,23 +235,11 @@ fn rule_page_values(
     values
 }
 
-/// Extract one page's component values, compiling the rules first.
-/// Single-page convenience — page loops should compile once
-/// ([`ClusterRules::compile`]) and use [`extract_page_compiled`].
-pub fn extract_page(
-    rules: &ClusterRules,
-    uri: &str,
-    doc: &Document,
-    failures: &mut Vec<RuleFailure>,
-) -> BTreeMap<String, Vec<String>> {
-    extract_page_compiled(&rules.compile(), uri, doc, failures)
-}
-
 /// Reference implementation of whole-cluster extraction through the
 /// tree-walking interpreter (per-page AST evaluation, the
-/// pre-compilation architecture). Kept as the executable baseline for
-/// benchmarks and the differential test holding it equal to
-/// [`extract_cluster`]; production callers use the compiled paths.
+/// pre-compilation architecture). An oracle, not a production path:
+/// the differential tests hold [`extract_cluster_compiled`] equal to
+/// it, and benchmarks use it as the baseline.
 pub fn extract_cluster_interpreted(
     rules: &ClusterRules,
     pages: &[(String, Document)],
@@ -296,6 +297,23 @@ fn emit_page(
     Ok(())
 }
 
+/// Extract one page through an executor that borrows the recycled
+/// scratch `pool` — each page starts with the previous page's warmed
+/// buffers; the doc-order rank stays per-document inside the executor
+/// — and hand the pool back for the next page.
+fn extract_pooled(
+    rules: &CompiledCluster,
+    uri: &str,
+    doc: &Document,
+    pool: &mut ScratchPool,
+) -> PageValues {
+    let exec = Executor::with_pool(doc, std::mem::take(pool));
+    let mut failures = Vec::new();
+    let values = extract_page_fused(rules, uri, &exec, &mut failures);
+    *pool = exec.into_pool();
+    (values, failures)
+}
+
 /// Sequential streaming driver: extract every page through an already
 /// compiled rule set, pushing each page's record into `sink` the moment
 /// it completes. The first record reaches the sink before the second
@@ -307,28 +325,13 @@ pub fn extract_cluster_compiled_to(
 ) -> io::Result<ExtractionStats> {
     sink.begin_cluster(&ClusterHeader::of(rules))?;
     let mut stats = ExtractionStats::default();
-    // One scratch pool for the whole drive: each page's executor starts
-    // with the previous page's warmed buffers (the doc-order rank stays
-    // per-document inside the executor).
     let mut pool = ScratchPool::default();
     for (uri, doc) in pages {
-        let exec = Executor::with_pool(doc, std::mem::take(&mut pool));
-        let mut failures = Vec::new();
-        let values = extract_page_fused(rules, uri, &exec, &mut failures);
-        pool = exec.into_pool();
+        let (values, failures) = extract_pooled(rules, uri, doc, &mut pool);
         emit_page(sink, uri, values, failures, &mut stats)?;
     }
     sink.end_cluster()?;
     Ok(stats)
-}
-
-/// Sequential streaming driver over uncompiled rules (compiles once).
-pub fn extract_cluster_to(
-    rules: &ClusterRules,
-    pages: &[(String, Document)],
-    sink: &mut dyn ExtractionSink,
-) -> io::Result<ExtractionStats> {
-    extract_cluster_compiled_to(&rules.compile(), pages, sink)
 }
 
 /// Extract a whole cluster through an already compiled rule set.
@@ -341,21 +344,16 @@ pub fn extract_cluster_compiled(
     sink.into_result()
 }
 
-/// Extract a whole cluster to XML + XSD. The rule set is compiled once
-/// and applied to every page.
-pub fn extract_cluster(rules: &ClusterRules, pages: &[(String, Document)]) -> ExtractionResult {
-    extract_cluster_compiled(&rules.compile(), pages)
-}
-
-/// Extract from raw HTML strings (parses then delegates).
+/// Extract from raw HTML strings with uncompiled rules: compiles once,
+/// then runs the batch driver on the calling thread.
 pub fn extract_cluster_html(rules: &ClusterRules, pages: &[(String, String)]) -> ExtractionResult {
-    let parsed: Vec<(String, Document)> =
-        pages.iter().map(|(uri, html)| (uri.clone(), parse(html))).collect();
-    extract_cluster(rules, &parsed)
+    let mut sink = CollectSink::new();
+    extract_cluster_parallel_compiled_to(&rules.compile(), pages, 1, &mut sink)
+        .expect("CollectSink never fails");
+    sink.into_result()
 }
 
-/// One page's extracted values + failures travelling through the
-/// sequencer.
+/// One page's extracted values + failures.
 type PageValues = (BTreeMap<String, Vec<String>>, Vec<RuleFailure>);
 type PageOutput = (usize, BTreeMap<String, Vec<String>>, Vec<RuleFailure>);
 
@@ -409,11 +407,7 @@ pub fn extract_cluster_parallel_compiled_to(
     if threads == 1 {
         let mut pool = ScratchPool::default();
         for (uri, html) in pages {
-            let doc = parse(html);
-            let exec = Executor::with_pool(&doc, std::mem::take(&mut pool));
-            let mut failures = Vec::new();
-            let values = extract_page_fused(rules, uri, &exec, &mut failures);
-            pool = exec.into_pool();
+            let (values, failures) = extract_pooled(rules, uri, &parse(html), &mut pool);
             emit_page(sink, uri, values, failures, &mut stats)?;
         }
         sink.end_cluster()?;
@@ -430,8 +424,6 @@ pub fn extract_cluster_parallel_compiled_to(
             let tx = tx.clone();
             let (gate, next) = (&gate, &next);
             scope.spawn(move || {
-                // Per-worker scratch pool, recycled page after page; the
-                // doc-order rank stays per-document in each executor.
                 let mut pool = ScratchPool::default();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -440,11 +432,7 @@ pub fn extract_cluster_parallel_compiled_to(
                     }
                     gate.wait_for_turn(i);
                     let (uri, html) = &pages[i];
-                    let doc = parse(html);
-                    let exec = Executor::with_pool(&doc, std::mem::take(&mut pool));
-                    let mut failures = Vec::new();
-                    let values = extract_page_fused(rules, uri, &exec, &mut failures);
-                    pool = exec.into_pool();
+                    let (values, failures) = extract_pooled(rules, uri, &parse(html), &mut pool);
                     if tx.send((i, values, failures)).is_err() {
                         // Receiver gone: the emitter hit a sink error.
                         break;
@@ -478,39 +466,6 @@ pub fn extract_cluster_parallel_compiled_to(
     result?;
     sink.end_cluster()?;
     Ok(stats)
-}
-
-/// Parallel streaming driver over uncompiled rules (compiles once).
-pub fn extract_cluster_parallel_to(
-    rules: &ClusterRules,
-    pages: &[(String, String)],
-    threads: usize,
-    sink: &mut dyn ExtractionSink,
-) -> io::Result<ExtractionStats> {
-    extract_cluster_parallel_compiled_to(&rules.compile(), pages, threads, sink)
-}
-
-/// Parallel extraction through an already compiled (shared) rule set,
-/// materialised as the classic [`ExtractionResult`].
-pub fn extract_cluster_parallel_compiled(
-    rules: &CompiledCluster,
-    pages: &[(String, String)],
-    threads: usize,
-) -> ExtractionResult {
-    let mut sink = CollectSink::new();
-    extract_cluster_parallel_compiled_to(rules, pages, threads, &mut sink)
-        .expect("CollectSink never fails");
-    sink.into_result()
-}
-
-/// Parallel extraction, compiling the rule set once up front. Useful for
-/// the data-migration workload of the intro.
-pub fn extract_cluster_parallel(
-    rules: &ClusterRules,
-    pages: &[(String, String)],
-    threads: usize,
-) -> ExtractionResult {
-    extract_cluster_parallel_compiled(&rules.compile(), pages, threads)
 }
 
 /// Shared page-element assembly for the compiled and interpreted paths
@@ -640,6 +595,17 @@ mod tests {
         c
     }
 
+    /// The batch driver over `threads` workers, materialised.
+    fn extract_parallel(
+        c: &ClusterRules,
+        pages: &[(String, String)],
+        threads: usize,
+    ) -> ExtractionResult {
+        let mut sink = CollectSink::new();
+        extract_cluster_parallel_compiled_to(&c.compile(), pages, threads, &mut sink).unwrap();
+        sink.into_result()
+    }
+
     #[test]
     fn three_level_structure() {
         let result = extract_cluster_html(&cluster(), &[("u1".into(), PAGE.into())]);
@@ -734,7 +700,7 @@ mod tests {
                 .map(|(i, html)| (format!("u{i}"), retroweb_html::parse(html)))
                 .collect();
         let interpreted = extract_cluster_interpreted(&c, &pages);
-        let compiled = extract_cluster(&c, &pages);
+        let compiled = extract_cluster_compiled(&c.compile(), &pages);
         assert_eq!(interpreted.xml.to_string_with(2), compiled.xml.to_string_with(2));
         assert_eq!(interpreted.failures, compiled.failures);
         assert_eq!(
@@ -748,7 +714,7 @@ mod tests {
         let pages: Vec<(String, String)> =
             (0..12).map(|i| (format!("u{i}"), PAGE.to_string())).collect();
         let seq = extract_cluster_html(&cluster(), &pages);
-        let par = extract_cluster_parallel(&cluster(), &pages, 4);
+        let par = extract_parallel(&cluster(), &pages, 4);
         assert_eq!(seq.xml.to_string_with(0), par.xml.to_string_with(0));
         assert_eq!(seq.failures, par.failures);
     }
@@ -772,19 +738,20 @@ mod tests {
     #[test]
     fn streaming_xml_sink_matches_materialised_document() {
         let pages = varied_pages(40);
-        let c = cluster();
-        let want = extract_cluster_html(&c, &pages).xml.to_string_with(2);
+        let parsed: Vec<(String, retroweb_html::Document)> =
+            pages.iter().map(|(u, h)| (u.clone(), retroweb_html::parse(h))).collect();
+        let c = cluster().compile();
+        let want = extract_cluster_compiled(&c, &parsed).xml.to_string_with(2);
         for threads in [1, 3, 8] {
             let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
-            let stats = extract_cluster_parallel_to(&c, &pages, threads, &mut sink).unwrap();
+            let stats =
+                extract_cluster_parallel_compiled_to(&c, &pages, threads, &mut sink).unwrap();
             assert_eq!(stats.pages, pages.len());
             assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want, "threads={threads}");
         }
         // Sequential driver over parsed documents too.
-        let parsed: Vec<(String, retroweb_html::Document)> =
-            pages.iter().map(|(u, h)| (u.clone(), retroweb_html::parse(h))).collect();
         let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
-        extract_cluster_to(&c, &parsed, &mut sink).unwrap();
+        extract_cluster_compiled_to(&c, &parsed, &mut sink).unwrap();
         assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want);
     }
 
@@ -802,7 +769,9 @@ mod tests {
             })
             .collect();
         let mut sink = crate::sink::CollectSink::new();
-        let stats = extract_cluster_parallel_to(&cluster(), &pages, 4, &mut sink).unwrap();
+        let stats =
+            extract_cluster_parallel_compiled_to(&cluster().compile(), &pages, 4, &mut sink)
+                .unwrap();
         let result = sink.into_result();
         assert_eq!(stats.failures, 8);
         assert_eq!(result.failures.len(), 8);
@@ -847,7 +816,8 @@ mod tests {
     fn sink_error_aborts_parallel_drive() {
         let pages = varied_pages(200);
         let mut sink = FailingSink { pages: 0, fail_after: 5, ended: false };
-        let err = extract_cluster_parallel_to(&cluster(), &pages, 4, &mut sink).unwrap_err();
+        let err = extract_cluster_parallel_compiled_to(&cluster().compile(), &pages, 4, &mut sink)
+            .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
         assert!(!sink.ended, "end_cluster must not run after an error");
         assert!(sink.pages <= 7, "drive kept pushing after the error: {}", sink.pages);
@@ -859,7 +829,7 @@ mod tests {
         let parsed: Vec<(String, retroweb_html::Document)> =
             pages.iter().map(|(u, h)| (u.clone(), retroweb_html::parse(h))).collect();
         let mut count = crate::sink::CountingSink::new();
-        let stats = extract_cluster_to(&cluster(), &parsed, &mut count).unwrap();
+        let stats = extract_cluster_compiled_to(&cluster().compile(), &parsed, &mut count).unwrap();
         assert_eq!(count.pages, 10);
         assert_eq!(count.pages_with_values, 10);
         // runtime + two genres per page.

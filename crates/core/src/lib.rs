@@ -32,9 +32,10 @@
 //!   alternatives to [`model::CompiledRule`];
 //!   [`repository::ClusterRules::compile`] does a whole cluster
 //!   ([`repository::CompiledCluster`]), deriving its XML Schema once;
-//! - **cache** — [`repository::RuleRepository::compiled`] builds each
-//!   cluster's compiled form at most once, shares it as an `Arc`, and
-//!   invalidates it when the cluster is re-recorded;
+//! - **cache** — [`store::ClusterStore::compiled`] (implemented by
+//!   [`store::ShardedRepository`]) builds each cluster's compiled form
+//!   at most once, shares it as an `Arc`, and invalidates it when the
+//!   cluster is re-recorded;
 //! - **execute** — [`extract`] (sequential and parallel), [`check`]
 //!   (`check_rule` / `check_rule_full`, hence the whole [`refine`] loop)
 //!   and [`maintain`] (`detect_failures`, `repair_rules`) apply the
@@ -43,16 +44,15 @@
 //! ## Streaming output: the sink seam
 //!
 //! Extraction output flows through [`sink::ExtractionSink`]: the `*_to`
-//! drivers ([`extract::extract_cluster_to`],
-//! [`extract::extract_cluster_parallel_to`],
-//! [`repository::RuleRepository::extract_to`]) push one
-//! [`sink::PageRecord`] per page as it completes — the parallel driver
+//! drivers ([`extract::extract_cluster_compiled_to`] over parsed pages,
+//! [`extract::extract_cluster_parallel_compiled_to`] over raw HTML)
+//! push one [`sink::PageRecord`] per page as it completes — the parallel driver
 //! reorders worker output through a bounded sequencer, so any sink sees
 //! the deterministic sequential order from O(threads) memory. Shipped
 //! sinks: [`sink::XmlWriterSink`] (streamed §4 XML, byte-identical to
 //! the materialised document), [`sink::JsonLinesSink`] (NDJSON feed),
 //! [`sink::CollectSink`] (classic [`extract::ExtractionResult`], behind
-//! the back-compat wrappers) and [`sink::CountingSink`] (dry-run
+//! the materialising entry points) and [`sink::CountingSink`] (dry-run
 //! tallies).
 //!
 //! The tree-walking interpreter remains the single-page reference path
@@ -96,11 +96,9 @@ pub mod wal;
 pub use builder::{build_rule, build_rules, ComponentReport, ScenarioConfig};
 pub use check::{check_rule, classify, CheckRow, CheckTable, Outcome};
 pub use extract::{
-    extract_cluster, extract_cluster_compiled, extract_cluster_compiled_to, extract_cluster_html,
-    extract_cluster_interpreted, extract_cluster_parallel, extract_cluster_parallel_compiled,
-    extract_cluster_parallel_compiled_to, extract_cluster_parallel_to, extract_cluster_to,
-    extract_page_compiled, extract_page_compiled_per_rule, ExtractionResult, FailureKind,
-    RuleFailure,
+    extract_cluster_compiled, extract_cluster_compiled_to, extract_cluster_html,
+    extract_cluster_interpreted, extract_cluster_parallel_compiled_to, extract_page_compiled,
+    extract_page_compiled_per_rule, ExtractionResult, FailureKind, RuleFailure,
 };
 pub use lint::{ClusterLint, RuleDiagnostic};
 // The analyzer's stable diagnostic-code list and severity scale, so the

@@ -142,7 +142,7 @@ impl MappingRule {
 
     /// Compile the rule's location alternatives for repeated application
     /// (see [`CompiledRule`]). Rule sets applied page after page go
-    /// through this; `RuleRepository` caches the result per cluster.
+    /// through this; `ShardedRepository` caches the result per cluster.
     pub fn compile(&self) -> CompiledRule {
         CompiledRule::new(self)
     }
@@ -198,7 +198,8 @@ impl MappingRule {
 ///
 /// The rule properties are copied (they are small) so a compiled rule is
 /// self-contained, `Send + Sync`, and can outlive repository mutations —
-/// workers in `extract_cluster_parallel` share one set across threads.
+/// workers in `extract_cluster_parallel_compiled_to` share one set
+/// across threads.
 #[derive(Debug)]
 pub struct CompiledRule {
     pub name: ComponentName,

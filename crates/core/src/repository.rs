@@ -4,26 +4,18 @@
 //! repository. This repository will be used by external agents, for
 //! instance by the XML extractor." Per cluster it stores the validated
 //! rules plus the optional *enhanced structure* (§4's a-posteriori
-//! aggregation). Persistence is JSON via `retroweb-json`; concurrent
-//! readers are supported through a `std::sync::RwLock`.
+//! aggregation). Persistence is JSON via `retroweb-json`.
 //!
-//! The repository is also where rule **compilation** is cached: the
-//! external agents of §3.5 apply a cluster's rules to thousands of
-//! pages, so [`RuleRepository::compiled`] lowers each rule's XPaths to
-//! the `retroweb-xpath` IR exactly once per recorded rule set (see
-//! [`CompiledCluster`]) and every extraction entry point shares the
-//! `Arc`. Re-recording a cluster invalidates its cached compilation.
+//! [`RuleRepository`] is the repository **file**: the seed a server
+//! binds with and the format snapshots are saved in. Serving-time
+//! storage — the compiled-rule cache the §3.5 external agents share —
+//! is [`crate::store::ShardedRepository`], behind the
+//! [`crate::store::ClusterStore`] trait.
 
-use crate::extract::{
-    extract_cluster_compiled, extract_cluster_compiled_to, extract_cluster_parallel_compiled,
-    extract_cluster_parallel_compiled_to, ExtractionResult,
-};
 use crate::lint::ClusterLint;
 use crate::model::{CompiledRule, ComponentName, Format, MappingRule, Multiplicity, Optionality};
 use crate::post::PostProcess;
-use crate::sink::{ExtractionSink, ExtractionStats};
-use crate::store::{ClusterStore, RepositorySnapshot};
-use retroweb_html::Document;
+use crate::store::RepositorySnapshot;
 use retroweb_json::{parse as json_parse, Json};
 use retroweb_xml::ClusterSchema;
 use retroweb_xpath::FusedPlan;
@@ -31,7 +23,6 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// A node of the enhanced (aggregated) structure: either a leaf
@@ -135,8 +126,9 @@ impl ClusterRules {
 
 /// A cluster's rule set in execution form: every location XPath lowered
 /// to a [`retroweb_xpath::CompiledXPath`], plus the derived XML Schema.
-/// Immutable and `Send + Sync` — `extract_cluster_parallel` shares one
-/// across worker threads, and [`RuleRepository`] caches one per cluster.
+/// Immutable and `Send + Sync` — the parallel extraction driver shares
+/// one across worker threads, and [`crate::store::ShardedRepository`]
+/// caches one per cluster.
 #[derive(Debug)]
 pub struct CompiledCluster {
     pub cluster: String,
@@ -361,27 +353,16 @@ impl RepositoryStats {
     }
 }
 
-/// A thread-safe collection of cluster rule sets, with a per-cluster
-/// cache of their compiled execution form.
-///
-/// This is the **monolithic** [`ClusterStore`]: one `RwLock` map for
-/// the rules, one for the compiled cache. It remains the simple
-/// embedded/library store (and the contention-benchmark baseline);
-/// [`crate::store::ShardedRepository`] is the serving-scale
-/// implementation. Rules are held as `Arc`s so
-/// [`snapshot`](RuleRepository::snapshot) — and therefore `to_json`, `save` and
-/// `cluster_names` — is O(clusters) pointer work under the lock, never
-/// a deep copy: a slow save serialises from its snapshot while
-/// mutations proceed.
+/// A thread-safe collection of cluster rule sets: the repository file
+/// and the seed type [`crate::store::ShardedRepository`] is loaded
+/// from. Rules are held as `Arc`s so
+/// [`snapshot`](RuleRepository::snapshot) — and therefore `to_json`,
+/// `save` and `cluster_names` — is O(clusters) pointer work under the
+/// lock, never a deep copy: a slow save serialises from its snapshot
+/// while mutations proceed.
 #[derive(Debug, Default)]
 pub struct RuleRepository {
     clusters: RwLock<BTreeMap<String, Arc<ClusterRules>>>,
-    /// Lazily built compiled rule sets; an entry is dropped whenever its
-    /// cluster is re-recorded, so readers never see stale compilations.
-    compiled: RwLock<BTreeMap<String, Arc<CompiledCluster>>>,
-    compiled_hits: AtomicU64,
-    compiled_builds: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl RuleRepository {
@@ -389,115 +370,15 @@ impl RuleRepository {
         RuleRepository::default()
     }
 
-    /// Record (insert or replace) a cluster's rules. Invalidates any
-    /// cached compilation of the same cluster — this is what makes a
-    /// service `PUT /clusters/{name}` a hot rule reload.
+    /// Record (insert or replace) a cluster's rules.
     pub fn record(&self, rules: ClusterRules) {
         let name = rules.cluster.clone();
-        self.clusters.write().expect("lock poisoned").insert(name.clone(), Arc::new(rules));
-        if self.compiled.write().expect("lock poisoned").remove(&name).is_some() {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
+        self.clusters.write().expect("lock poisoned").insert(name, Arc::new(rules));
     }
 
-    /// Remove a cluster (and any cached compilation). Returns whether the
-    /// cluster existed.
+    /// Remove a cluster. Returns whether it existed.
     pub fn remove(&self, cluster: &str) -> bool {
-        let existed = self.clusters.write().expect("lock poisoned").remove(cluster).is_some();
-        if self.compiled.write().expect("lock poisoned").remove(cluster).is_some() {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-        existed
-    }
-
-    /// Snapshot the cache counters (cheap; relaxed atomics plus two
-    /// uncontended read locks for the size gauges).
-    pub fn stats(&self) -> RepositoryStats {
-        let compiled = self.compiled.read().expect("lock poisoned");
-        let mut stats = RepositoryStats {
-            clusters: self.len(),
-            compiled_cache_entries: compiled.len(),
-            compiled_cache_hits: self.compiled_hits.load(Ordering::Relaxed),
-            compiled_cache_builds: self.compiled_builds.load(Ordering::Relaxed),
-            compiled_cache_invalidations: self.invalidations.load(Ordering::Relaxed),
-            ..RepositoryStats::default()
-        };
-        for c in compiled.values() {
-            stats.observe_fused_plan(&c.fused().stats());
-            stats.observe_lint(c.lint());
-        }
-        stats
-    }
-
-    /// The cluster's rules in compiled form, building and caching them on
-    /// first use. Callers across threads share the same `Arc`.
-    pub fn compiled(&self, cluster: &str) -> Option<Arc<CompiledCluster>> {
-        if let Some(hit) = self.compiled.read().expect("lock poisoned").get(cluster) {
-            self.compiled_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(hit));
-        }
-        // Build while holding the cache write lock, snapshotting the rules
-        // inside it: a concurrent `record` either lands before our snapshot
-        // (we compile the new rules) or blocks on this lock and removes the
-        // entry we insert (the next call recompiles). Either way no stale
-        // compilation can stick. `record` never holds both locks at once,
-        // so taking `clusters.read` under `compiled.write` cannot deadlock.
-        let mut cache = self.compiled.write().expect("lock poisoned");
-        if let Some(hit) = cache.get(cluster) {
-            self.compiled_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(hit));
-        }
-        let rules = self.clusters.read().expect("lock poisoned").get(cluster).cloned()?;
-        let compiled = Arc::new(rules.compile());
-        cache.insert(cluster.to_string(), Arc::clone(&compiled));
-        self.compiled_builds.fetch_add(1, Ordering::Relaxed);
-        Some(compiled)
-    }
-
-    /// Extract a cluster's pages through the cached compiled rules —
-    /// §3.5's "external agents, for instance the XML extractor" entry
-    /// point. Returns `None` for an unknown cluster.
-    pub fn extract(&self, cluster: &str, pages: &[(String, Document)]) -> Option<ExtractionResult> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_compiled(&compiled, pages))
-    }
-
-    /// Parallel variant of [`RuleRepository::extract`] over raw HTML.
-    pub fn extract_parallel(
-        &self,
-        cluster: &str,
-        pages: &[(String, String)],
-        threads: usize,
-    ) -> Option<ExtractionResult> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_parallel_compiled(&compiled, pages, threads))
-    }
-
-    /// Streaming variant of [`RuleRepository::extract`]: push each
-    /// page's record into `sink` as it completes instead of
-    /// materialising a document. `None` for an unknown cluster.
-    pub fn extract_to(
-        &self,
-        cluster: &str,
-        pages: &[(String, Document)],
-        sink: &mut dyn ExtractionSink,
-    ) -> Option<std::io::Result<ExtractionStats>> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_compiled_to(&compiled, pages, sink))
-    }
-
-    /// Streaming parallel variant over raw HTML — the service batch
-    /// path. Deterministic sink order, O(threads) buffering (see
-    /// [`crate::sink::ExtractionSink`] for the reordering guarantee).
-    pub fn extract_parallel_to(
-        &self,
-        cluster: &str,
-        pages: &[(String, String)],
-        threads: usize,
-        sink: &mut dyn ExtractionSink,
-    ) -> Option<std::io::Result<ExtractionStats>> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_parallel_compiled_to(&compiled, pages, threads, sink))
+        self.clusters.write().expect("lock poisoned").remove(cluster).is_some()
     }
 
     pub fn get(&self, cluster: &str) -> Option<ClusterRules> {
@@ -584,48 +465,6 @@ impl RuleRepository {
         let json = json_parse(&text)
             .map_err(|e| RepositoryError::new(format!("bad JSON: {e}")).with_path(path))?;
         RuleRepository::from_json(&json).map_err(|e| e.with_path(path))
-    }
-}
-
-/// The monolithic store exposes the exact same storage API as the
-/// sharded one, so every consumer — extraction, checking, maintenance,
-/// the service, the durability layer — is written against
-/// [`ClusterStore`] and runs on either.
-impl ClusterStore for RuleRepository {
-    fn get(&self, cluster: &str) -> Option<ClusterRules> {
-        RuleRepository::get(self, cluster)
-    }
-
-    fn compiled(&self, cluster: &str) -> Option<Arc<CompiledCluster>> {
-        RuleRepository::compiled(self, cluster)
-    }
-
-    fn record(&self, rules: ClusterRules) {
-        RuleRepository::record(self, rules)
-    }
-
-    fn remove(&self, cluster: &str) -> bool {
-        RuleRepository::remove(self, cluster)
-    }
-
-    fn snapshot(&self) -> RepositorySnapshot {
-        RuleRepository::snapshot(self)
-    }
-
-    fn stats(&self) -> RepositoryStats {
-        RuleRepository::stats(self)
-    }
-
-    fn cluster_json(&self, cluster: &str) -> Option<Json> {
-        RuleRepository::cluster_json(self, cluster)
-    }
-
-    fn len(&self) -> usize {
-        RuleRepository::len(self)
-    }
-
-    fn is_empty(&self) -> bool {
-        RuleRepository::is_empty(self)
     }
 }
 
@@ -820,6 +659,10 @@ fn str_field(json: &Json, key: &str) -> Result<String, RepositoryError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extract::{
+        extract_cluster_compiled, extract_cluster_compiled_to, extract_cluster_html,
+        extract_cluster_interpreted, extract_cluster_parallel_compiled_to,
+    };
     use retroweb_xpath::parse as xparse;
 
     fn sample_cluster() -> ClusterRules {
@@ -909,107 +752,50 @@ mod tests {
     }
 
     #[test]
-    fn compiled_is_cached_and_invalidated() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
-        let first = repo.compiled("imdb-movies").expect("known cluster");
-        let second = repo.compiled("imdb-movies").expect("known cluster");
-        // Cache hit: same allocation.
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(first.rules.len(), 2);
-        assert_eq!(first.rule("runtime").unwrap().locations().len(), 1);
-
-        // Re-recording drops the cached compilation.
-        let mut altered = sample_cluster();
-        altered.rules.pop();
-        repo.record(altered);
-        let third = repo.compiled("imdb-movies").expect("known cluster");
-        assert!(!Arc::ptr_eq(&first, &third));
-        assert_eq!(third.rules.len(), 1);
-
-        assert!(repo.compiled("unknown").is_none());
-    }
-
-    #[test]
     fn repository_extract_runs_compiled_rules() {
         let repo = RuleRepository::new();
         repo.record(sample_cluster());
         let page = "<html><body><table><tr><td> Runtime: </td><td> 104 min </td></tr></table>\
                     <ul><li>Drama</li><li>Comedy</li></ul></body></html>";
         let pages = vec![("u1".to_string(), retroweb_html::parse(page))];
-        let result = repo.extract("imdb-movies", &pages).expect("known cluster");
+        let rules = repo.get("imdb-movies").expect("known cluster");
+        let result = extract_cluster_compiled(&rules.compile(), &pages);
         let text = result.xml.to_string_with(0);
         assert!(text.contains("<runtime>104</runtime>"), "{text}");
         assert!(text.contains("<genre>Drama</genre>"), "{text}");
-        // Identical output to the uncached path.
-        let direct = crate::extract::extract_cluster(&sample_cluster(), &pages);
-        assert_eq!(direct.xml.to_string_with(0), text);
-        assert!(repo.extract("unknown", &pages).is_none());
-
+        // Identical output to the interpreter oracle and the raw-HTML path.
+        let interpreted = extract_cluster_interpreted(&rules, &pages);
+        assert_eq!(interpreted.xml.to_string_with(0), text);
         let html_pages = vec![("u1".to_string(), page.to_string())];
-        let par = repo.extract_parallel("imdb-movies", &html_pages, 2).expect("known cluster");
-        assert_eq!(par.xml.to_string_with(0), text);
+        assert_eq!(extract_cluster_html(&rules, &html_pages).xml.to_string_with(0), text);
     }
 
     #[test]
     fn repository_streaming_entry_points_match_materialised() {
         let repo = RuleRepository::new();
         repo.record(sample_cluster());
+        let compiled = repo.get("imdb-movies").expect("known cluster").compile();
         let page = "<html><body><table><tr><td> Runtime: </td><td> 104 min </td></tr></table>\
                     <ul><li>Drama</li><li>Comedy</li></ul></body></html>";
         let html_pages: Vec<(String, String)> =
             (0..6).map(|i| (format!("u{i}"), page.to_string())).collect();
-        let parsed: Vec<(String, Document)> =
+        let parsed: Vec<(String, retroweb_html::Document)> =
             html_pages.iter().map(|(u, h)| (u.clone(), retroweb_html::parse(h))).collect();
-        let want = repo.extract("imdb-movies", &parsed).expect("known cluster");
+        let want = extract_cluster_compiled(&compiled, &parsed).xml.to_string_with(2);
 
         let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
-        let stats =
-            repo.extract_to("imdb-movies", &parsed, &mut sink).expect("known cluster").unwrap();
+        let stats = extract_cluster_compiled_to(&compiled, &parsed, &mut sink).unwrap();
         assert_eq!(stats.pages, 6);
-        assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want.xml.to_string_with(2));
+        assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want);
 
-        let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
-        let stats = repo
-            .extract_parallel_to("imdb-movies", &html_pages, 3, &mut sink)
-            .expect("known cluster")
-            .unwrap();
-        assert_eq!(stats.pages, 6);
-        assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want.xml.to_string_with(2));
-
-        // Unknown clusters are None before the sink sees anything.
-        let mut sink = crate::sink::CountingSink::new();
-        assert!(repo.extract_to("nope", &parsed, &mut sink).is_none());
-        assert!(repo.extract_parallel_to("nope", &html_pages, 2, &mut sink).is_none());
-        assert_eq!(sink.pages, 0);
-    }
-
-    #[test]
-    fn stats_track_cache_traffic() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
-        assert_eq!(repo.stats(), RepositoryStats { clusters: 1, ..Default::default() });
-        repo.compiled("imdb-movies").unwrap(); // build
-        repo.compiled("imdb-movies").unwrap(); // hit
-        repo.compiled("imdb-movies").unwrap(); // hit
-        repo.record(sample_cluster()); // invalidation
-        repo.compiled("imdb-movies").unwrap(); // build
-        let stats = repo.stats();
-        assert_eq!(stats.compiled_cache_builds, 2);
-        assert_eq!(stats.compiled_cache_hits, 2);
-        assert_eq!(stats.compiled_cache_invalidations, 1);
-    }
-
-    #[test]
-    fn remove_drops_cluster_and_compilation() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
-        repo.compiled("imdb-movies").unwrap();
-        assert!(repo.remove("imdb-movies"));
-        assert!(!repo.remove("imdb-movies"));
-        assert!(repo.get("imdb-movies").is_none());
-        assert!(repo.compiled("imdb-movies").is_none());
-        assert_eq!(repo.stats().compiled_cache_invalidations, 1);
+        for threads in [1, 3] {
+            let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
+            let stats =
+                extract_cluster_parallel_compiled_to(&compiled, &html_pages, threads, &mut sink)
+                    .unwrap();
+            assert_eq!(stats.pages, 6);
+            assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want, "threads={threads}");
+        }
     }
 
     #[test]
@@ -1096,23 +882,6 @@ mod tests {
         );
         assert_eq!(RuleRepository::load(&path).unwrap().get("imdb-movies"), Some(sample_cluster()));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stats_entries_gauge_tracks_cache_coherently() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
-        assert_eq!(repo.stats().compiled_cache_entries, 0, "nothing compiled yet");
-        repo.compiled("imdb-movies").unwrap();
-        let stats = repo.stats();
-        assert_eq!(stats.compiled_cache_entries, 1);
-        assert!(stats.compiled_cache_entries <= stats.clusters);
-        // DELETE coherence: removing the cluster drops its compilation,
-        // so the cache can never hold an entry for a dead cluster.
-        repo.remove("imdb-movies");
-        let stats = repo.stats();
-        assert_eq!(stats.clusters, 0);
-        assert_eq!(stats.compiled_cache_entries, 0);
     }
 
     #[test]

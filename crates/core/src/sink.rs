@@ -111,7 +111,7 @@ impl ClusterHeader {
 /// 3. [`end_cluster`](ExtractionSink::end_cluster) — once, last.
 ///
 /// **Parallel reordering guarantee:** the parallel driver
-/// (`extract_cluster_parallel_to`) fans pages out across worker
+/// (`extract_cluster_parallel_compiled_to`) fans pages out across worker
 /// threads but funnels completions through a bounded sequencer, so a
 /// sink observes exactly the sequence above — identical to the
 /// sequential driver, byte-for-byte for writer sinks — while the
@@ -291,8 +291,7 @@ impl<W: io::Write> ExtractionSink for JsonLinesSink<W> {
 // ---- CollectSink ----------------------------------------------------------
 
 /// Rebuilds the classic in-memory [`ExtractionResult`] — the sink behind
-/// the back-compat `extract_cluster` / `extract_cluster_parallel`
-/// wrappers. Never fails.
+/// `extract_cluster_compiled` and `extract_cluster_html`. Never fails.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     header: Option<ClusterHeader>,

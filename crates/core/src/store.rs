@@ -25,9 +25,9 @@
 //!   per-shard mutex and atomically swap the snapshot in, so a write to
 //!   cluster A never contends with reads (or writes) of cluster B in
 //!   another shard;
-//! - [`RepositorySnapshot`] is the point-in-time view both
-//!   implementations hand out — serialisation (`to_json`, `save`) works
-//!   on a snapshot, so a slow save can never stall mutations.
+//! - [`RepositorySnapshot`] is the point-in-time view stores hand out
+//!   — serialisation (`to_json`, `save`) works on a snapshot, so a slow
+//!   save can never stall mutations.
 //!
 //! The compiled-rule cache rides inside the snapshot: each recorded
 //! cluster's entry owns a `OnceLock<Arc<CompiledCluster>>`, compiled on
@@ -36,13 +36,7 @@
 //! readers of any other (the old monolithic cache compiled while
 //! holding the cache-wide write lock).
 
-use crate::extract::{
-    extract_cluster_compiled, extract_cluster_compiled_to, extract_cluster_parallel_compiled,
-    extract_cluster_parallel_compiled_to, ExtractionResult,
-};
 use crate::repository::{cluster_to_json, ClusterRules, CompiledCluster, RepositoryStats};
-use crate::sink::{ExtractionSink, ExtractionStats};
-use retroweb_html::Document;
 use retroweb_json::Json;
 use retroweb_sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use retroweb_sync::{arc_raw, Arc, Mutex, OnceLock};
@@ -68,10 +62,14 @@ pub fn shard_for(cluster: &str, shards: usize) -> usize {
 
 /// The repository storage API — the **only** interface rule consumers
 /// use. Core operations every backend provides: `get`, `compiled`,
-/// `record`, `remove`, `snapshot`, `stats`. Everything else (listing,
-/// serialisation, saving, the extraction entry points) is provided on
-/// top of those, so a new backend implements six methods and inherits
-/// the whole consumer surface.
+/// `record`, `remove`, `snapshot`, `stats`. Listing, serialisation and
+/// saving are provided on top of those. Extraction is not a store
+/// method: callers take [`compiled`](Self::compiled) and hand it to
+/// the [`crate::extract`] drivers.
+///
+/// [`ShardedRepository`] is the one production implementation; the
+/// provided single-shard topology defaults exist for test and
+/// benchmark baselines.
 ///
 /// Implementations must be safe to share across threads; mutations are
 /// `&self` (interior mutability), matching the serving layer where one
@@ -161,51 +159,6 @@ pub trait ClusterStore: Send + Sync + fmt::Debug {
     /// concurrent mutations.
     fn save(&self, path: &Path) -> std::io::Result<()> {
         self.snapshot().save(path)
-    }
-
-    /// Extract a cluster's pages through the cached compiled rules —
-    /// §3.5's "external agents, for instance the XML extractor" entry
-    /// point. `None` for an unknown cluster.
-    fn extract(&self, cluster: &str, pages: &[(String, Document)]) -> Option<ExtractionResult> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_compiled(&compiled, pages))
-    }
-
-    /// Parallel variant of [`ClusterStore::extract`] over raw HTML.
-    fn extract_parallel(
-        &self,
-        cluster: &str,
-        pages: &[(String, String)],
-        threads: usize,
-    ) -> Option<ExtractionResult> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_parallel_compiled(&compiled, pages, threads))
-    }
-
-    /// Streaming variant of [`ClusterStore::extract`]: push each page's
-    /// record into `sink` as it completes. `None` for an unknown
-    /// cluster.
-    fn extract_to(
-        &self,
-        cluster: &str,
-        pages: &[(String, Document)],
-        sink: &mut dyn ExtractionSink,
-    ) -> Option<std::io::Result<ExtractionStats>> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_compiled_to(&compiled, pages, sink))
-    }
-
-    /// Streaming parallel variant over raw HTML — the service batch
-    /// path. Deterministic sink order, O(threads) buffering.
-    fn extract_parallel_to(
-        &self,
-        cluster: &str,
-        pages: &[(String, String)],
-        threads: usize,
-        sink: &mut dyn ExtractionSink,
-    ) -> Option<std::io::Result<ExtractionStats>> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_parallel_compiled_to(&compiled, pages, threads, sink))
     }
 }
 
@@ -723,6 +676,14 @@ mod tests {
         assert_eq!(stats.compiled_cache_invalidations, 1);
         assert_eq!(stats.compiled_cache_entries, 1);
         assert!(stats.compiled_cache_entries <= stats.clusters);
+        // Removing a compiled cluster counts an invalidation and drops
+        // the entry: the cache never outlives its cluster.
+        assert!(store.remove("a"));
+        assert!(store.compiled("a").is_none());
+        let stats = store.stats();
+        assert_eq!(stats.compiled_cache_invalidations, 2);
+        assert_eq!(stats.compiled_cache_entries, 0);
+        assert_eq!(stats.clusters, 0);
     }
 
     #[test]

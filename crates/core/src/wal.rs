@@ -54,7 +54,7 @@
 //! envelope is what makes torn tails detectable.
 
 use crate::repository::{ClusterRules, RepositoryError, RuleRepository};
-use crate::store::{shard_for, ClusterStore, ShardedRepository};
+use crate::store::{ClusterStore, ShardedRepository};
 use retroweb_json::Json;
 use retroweb_sync::{Arc, Mutex, MutexGuard};
 use std::fs::{File, OpenOptions};
@@ -487,7 +487,7 @@ pub struct ShardManifest {
 impl ShardManifest {
     pub const FILE_NAME: &'static str = "manifest.json";
     /// The only routing hash ever written; see
-    /// [`shard_for`] for why it must stay stable.
+    /// [`shard_for`](crate::store::shard_for) for why it must stay stable.
     pub const HASH_NAME: &'static str = "fnv1a-64";
 
     pub fn path(dir: &Path) -> PathBuf {
@@ -701,19 +701,20 @@ impl DurableRepository {
     }
 
     /// Open the legacy single-file snapshot + WAL pair from disk: load
-    /// `snapshot` (absent = empty) into a monolithic [`RuleRepository`],
+    /// `snapshot` (absent = empty) into a default [`ShardedRepository`],
     /// replay the log over it. The single-file server startup path.
     pub fn open_wal(
         snapshot: PathBuf,
         wal_path: &Path,
         compact_every: u64,
     ) -> Result<DurableRepository, RepositoryError> {
-        let repo = if snapshot.exists() {
-            RuleRepository::load(&snapshot)?
-        } else {
-            RuleRepository::new()
-        };
-        DurableRepository::attach_wal(Arc::new(repo), snapshot, wal_path, compact_every)
+        let store = ShardedRepository::default();
+        if snapshot.exists() {
+            for (_, rules) in RuleRepository::load(&snapshot)?.snapshot().iter() {
+                store.record(rules.clone());
+            }
+        }
+        DurableRepository::attach_wal(Arc::new(store), snapshot, wal_path, compact_every)
             .map_err(|e| RepositoryError::io(&format!("cannot open WAL: {e}"), wal_path))
     }
 
@@ -808,26 +809,22 @@ impl DurableRepository {
             let _ = std::fs::remove_file(ShardManifest::wal_path(dir, i));
             let _ = std::fs::remove_file(ShardManifest::snapshot_path(dir, i));
         }
-        let legacy = match (seed, legacy_snapshot.filter(|p| p.exists())) {
-            // No seed: the loaded snapshot is the base state directly.
-            (None, Some(path)) => RuleRepository::load(path)?,
-            (seed, snapshot) => {
-                let legacy = RuleRepository::new();
-                if let Some(seed) = seed {
-                    for (_, rules) in seed.iter() {
-                        legacy.record(rules.clone());
-                    }
-                }
-                if let Some(path) = snapshot {
-                    // The legacy pair wins over the seed, exactly as a
-                    // loaded snapshot wins over a bind seed.
-                    for (_, rules) in RuleRepository::load(path)?.snapshot().iter() {
-                        legacy.record(rules.clone());
-                    }
-                }
-                legacy
+        // A scratch store with the layout's shard count routes every
+        // cluster exactly as the opened store will, so its shard
+        // snapshots are the per-shard files.
+        let scratch = ShardedRepository::new(shards);
+        if let Some(seed) = seed {
+            for (_, rules) in seed.iter() {
+                scratch.record(rules.clone());
             }
-        };
+        }
+        if let Some(path) = legacy_snapshot.filter(|p| p.exists()) {
+            // The legacy pair wins over the seed, exactly as a loaded
+            // snapshot wins over a bind seed.
+            for (_, rules) in RuleRepository::load(path)?.snapshot().iter() {
+                scratch.record(rules.clone());
+            }
+        }
         if let Some(wal_path) = legacy_wal {
             // Read-only replay: the legacy log is left byte-identical in
             // case the operator needs to roll back to single-file mode.
@@ -835,28 +832,20 @@ impl DurableRepository {
                 RepositoryError::io(&format!("cannot replay legacy WAL: {e}"), wal_path)
             })?;
             for op in &replayed.ops {
-                op.apply(&legacy);
+                op.apply(&scratch);
             }
         }
-        let snapshot = legacy.snapshot();
-        if snapshot.is_empty() {
-            return Ok(0);
-        }
-        let mut partitions: Vec<Vec<Json>> = vec![Vec::new(); shards];
-        for (name, rules) in snapshot.iter() {
-            partitions[shard_for(name, shards)].push(rules.to_json());
-        }
-        for (i, clusters) in partitions.into_iter().enumerate() {
-            if clusters.is_empty() {
+        for i in 0..shards {
+            let part = scratch.shard_snapshot(i);
+            if part.is_empty() {
                 continue; // an absent shard snapshot loads as empty
             }
             let path = ShardManifest::snapshot_path(dir, i);
-            let text = Json::Array(clusters).to_string_pretty();
-            atomic_replace(&path, text.as_bytes(), &mut |_| {}).map_err(|e| {
+            part.save(&path).map_err(|e| {
                 RepositoryError::io(&format!("cannot write shard snapshot: {e}"), &path)
             })?;
         }
-        Ok(snapshot.len())
+        Ok(scratch.len())
     }
 
     /// Load one shard's snapshot into the store and replay its WAL.
@@ -1111,6 +1100,7 @@ impl RepositoryError {
 mod tests {
     use super::*;
     use crate::model::{ComponentName, Format, Multiplicity, Optionality};
+    use crate::store::shard_for;
     use crate::MappingRule;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1304,8 +1294,10 @@ mod tests {
     fn full_rewrite_mode_matches_pre_wal_behaviour() {
         let dir = temp_dir("rewrite");
         let snapshot = dir.join("rules.json");
-        let repo =
-            DurableRepository::full_rewrite(Arc::new(RuleRepository::new()), snapshot.clone());
+        let repo = DurableRepository::full_rewrite(
+            Arc::new(ShardedRepository::default()),
+            snapshot.clone(),
+        );
         repo.record(cluster("a", 1)).unwrap();
         assert_eq!(RuleRepository::load(&snapshot).unwrap().cluster_names(), vec!["a"]);
         assert!(repo.remove("a").unwrap());
@@ -1316,7 +1308,7 @@ mod tests {
 
     #[test]
     fn ephemeral_mode_touches_no_disk() {
-        let repo = DurableRepository::ephemeral(Arc::new(RuleRepository::new()));
+        let repo = DurableRepository::ephemeral(Arc::new(ShardedRepository::default()));
         repo.record(cluster("a", 1)).unwrap();
         assert!(repo.remove("a").unwrap());
         assert!(repo.wal_stats().is_none());

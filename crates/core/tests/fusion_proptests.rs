@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use retrozilla::{
-    extract_cluster, extract_cluster_interpreted, extract_page_compiled,
+    extract_cluster_compiled, extract_cluster_interpreted, extract_page_compiled,
     extract_page_compiled_per_rule, ClusterRules, ComponentName, Format, MappingRule, Multiplicity,
     Optionality,
 };
@@ -132,7 +132,7 @@ proptest! {
             .map(|(i, html)| (format!("u{i}"), retroweb_html::parse(html)))
             .collect();
         let interpreted = extract_cluster_interpreted(&cluster, &parsed);
-        let fused = extract_cluster(&cluster, &parsed);
+        let fused = extract_cluster_compiled(&cluster.compile(), &parsed);
         prop_assert_eq!(interpreted.xml.to_string_with(2), fused.xml.to_string_with(2));
         prop_assert_eq!(interpreted.failures, fused.failures);
         prop_assert_eq!(

@@ -319,25 +319,16 @@ impl Document {
     }
 
     /// Concatenated text of all descendant text nodes (the XPath
-    /// "string-value" of an element).
+    /// "string-value" of an element). Iterative, so nesting depth can
+    /// never overflow the stack.
     pub fn text_content(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.collect_text(id, &mut out);
-        out
-    }
-
-    fn collect_text(&self, id: NodeId, out: &mut String) {
-        match &self.nodes[id.index()].data {
-            NodeData::Text(t) => out.push_str(t),
-            NodeData::Comment(_) | NodeData::Doctype(_) => {}
-            _ => {
-                let mut child = self.first_child(id);
-                while let Some(c) = child {
-                    self.collect_text(c, out);
-                    child = self.next_sibling(c);
-                }
+        for n in self.descendants_and_self(id) {
+            if let NodeData::Text(t) = &self.nodes[n.index()].data {
+                out.push_str(t);
             }
         }
+        out
     }
 
     /// True when `anc` is a strict ancestor of `id`.

@@ -1,8 +1,8 @@
 //! Request routing and endpoint handlers.
 //!
 //! Every handler goes through the shared [`ServiceState`]: extraction
-//! and drift checking run the repository's *compiled-cluster cache*
-//! (`RuleRepository::compiled`), so a `PUT /clusters/{name}` — which
+//! and drift checking run the store's *compiled-cluster cache*
+//! (`ClusterStore::compiled`), so a `PUT /clusters/{name}` — which
 //! re-records the cluster and thereby invalidates the cache — is a hot
 //! rule reload observed by the very next request.
 
@@ -12,8 +12,8 @@ use crate::ServiceState;
 use retroweb_json::Json;
 use retroweb_sitegen::Page;
 use retrozilla::{
-    detect_failures_compiled, extract_cluster_parallel_compiled_to, ClusterRules, JsonLinesSink,
-    SamplePage, XmlWriterSink,
+    detect_failures_compiled, extract_cluster_compiled, extract_cluster_parallel_compiled_to,
+    ClusterRules, JsonLinesSink, SamplePage, XmlWriterSink,
 };
 use std::sync::Arc;
 
@@ -306,9 +306,10 @@ fn extract_one(state: &ServiceState, name: &str, req: &Request) -> Response {
     let uri = req.header("x-page-uri").unwrap_or("page").to_string();
     let html = decode_page_body(req);
     let pages = vec![(uri, retroweb_html::parse(&html))];
-    let Some(result) = state.repo().extract(name, &pages) else {
+    let Some(compiled) = state.repo().compiled(name) else {
         return unknown_cluster(name);
     };
+    let result = extract_cluster_compiled(&compiled, &pages);
     state.metrics().add_pages_extracted(1);
     state.metrics().add_failures_detected(result.failures.len());
     Response::xml(result.xml.to_string_with(2))
@@ -332,10 +333,10 @@ fn wants_ndjson(req: &Request) -> bool {
 /// on the wire while later pages are still extracting, and server
 /// memory bounded by O(threads) regardless of batch size. The
 /// concatenated XML body is byte-identical to a direct
-/// `extract_cluster` call; `Accept: application/x-ndjson` selects the
-/// NDJSON record stream instead. Summary counts live on `GET /metrics`
-/// (`pages_extracted`, `failures_detected`, `bytes_streamed`) — a
-/// streamed reply cannot carry them as headers.
+/// `extract_cluster_compiled` call; `Accept: application/x-ndjson`
+/// selects the NDJSON record stream instead. Summary counts live on
+/// `GET /metrics` (`pages_extracted`, `failures_detected`,
+/// `bytes_streamed`) — a streamed reply cannot carry them as headers.
 fn extract_batch(state: &Arc<ServiceState>, name: &str, req: &Request) -> Reply {
     let pages = match parse_pages(req) {
         Ok(pages) => pages,

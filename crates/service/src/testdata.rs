@@ -139,9 +139,7 @@ pub fn pages_json(pages: &[(String, String)]) -> String {
 /// The XML a direct (in-process) extraction of `pages` produces with the
 /// given rules — the byte-identical reference for served responses.
 pub fn direct_extract_xml(rules: &ClusterRules, pages: &[(String, String)]) -> String {
-    let parsed: Vec<(String, retroweb_html::Document)> =
-        pages.iter().map(|(uri, html)| (uri.clone(), retroweb_html::parse(html))).collect();
-    retrozilla::extract_cluster(rules, &parsed).xml.to_string_with(2)
+    retrozilla::extract_cluster_html(rules, pages).xml.to_string_with(2)
 }
 
 #[cfg(test)]

@@ -27,8 +27,9 @@
 //!   document-order rank and scratch buffers across calls.
 //!
 //! The intended flow for rule application is **compile once per rule
-//! set, cache the `CompiledXPath`s (see `retrozilla`'s `RuleRepository`),
-//! and execute them over every page with one `Executor` per document**:
+//! set, cache the `CompiledXPath`s (see `retrozilla`'s
+//! `ShardedRepository`), and execute them over every page with one
+//! `Executor` per document**:
 //!
 //! ```
 //! use retroweb_html::parse;

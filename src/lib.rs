@@ -35,7 +35,7 @@
 //! [`retrozilla::ExtractionSink`] straight into the chunked response
 //! (first bytes after the first page, memory O(threads)), with the
 //! concatenated XML byte-identical to a direct
-//! [`retrozilla::extract_cluster`] call and
+//! [`retrozilla::extract_cluster_compiled`] call and
 //! `Accept: application/x-ndjson` selecting NDJSON records instead
 //! (see `examples/news_digest.rs` for the same sink API used as a
 //! library). `POST /check/{cluster}` runs
