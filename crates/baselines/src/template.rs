@@ -19,7 +19,7 @@
 //! fields are *anonymous* and *exhaustive* — every varying chunk of the
 //! page becomes a field whether the user wants it or not.
 
-use retroweb_html::{parse, Document, NodeData, NodeId};
+use retroweb_html::{parse, Document, NodeId};
 use retroweb_xpath::normalize_space;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -201,15 +201,13 @@ fn page_concrete(html: &str) -> Option<TNode> {
 fn build_element(doc: &Document, el: NodeId, fold: bool) -> TNode {
     let mut children: Vec<TNode> = Vec::new();
     for child in doc.children(el) {
-        match &doc.node(child).data {
-            NodeData::Element(_) => children.push(build_element(doc, child, fold)),
-            NodeData::Text(t) => {
-                let norm = normalize_space(t);
-                if !norm.is_empty() {
-                    children.push(TNode::Const(norm));
-                }
+        if doc.is_element(child) {
+            children.push(build_element(doc, child, fold));
+        } else if let Some(t) = doc.text(child) {
+            let norm = normalize_space(t);
+            if !norm.is_empty() {
+                children.push(TNode::Const(norm));
             }
-            _ => {}
         }
     }
     let children = if fold { fold_repeats(children) } else { children };

@@ -62,13 +62,14 @@ fn collect<'d>(
     sequence: &mut Vec<String>,
     keywords: &mut HashMap<String, u32>,
 ) {
-    match &doc.node(node).data {
-        NodeData::Element(el) => {
-            *histogram.entry(el.name.clone()).or_insert(0) += 1;
+    match doc.node(node).data {
+        NodeData::Element(_) => {
+            let name = doc.tag_name(node).unwrap_or_default();
+            *histogram.entry(name.to_string()).or_insert(0) += 1;
             if sequence.len() < TAG_SEQUENCE_CAP {
-                sequence.push(el.name.clone());
+                sequence.push(name.to_string());
             }
-            path.push(el.name.as_str());
+            path.push(name);
             let mut hasher = DefaultHasher::new();
             path.hash(&mut hasher);
             *shingles.entry(hasher.finish()).or_insert(0) += 1;
@@ -79,7 +80,8 @@ fn collect<'d>(
             }
             path.pop();
         }
-        NodeData::Text(text) => {
+        NodeData::Text(_) => {
+            let text = doc.text(node).unwrap_or_default();
             for word in text.split(|c: char| !c.is_alphanumeric()) {
                 if word.len() >= 3 {
                     *keywords.entry(word.to_ascii_lowercase()).or_insert(0) += 1;

@@ -8,6 +8,16 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Range;
+
+use crate::atom::{Atom, Names};
+use crate::tokenizer::Attribute;
+
+/// A string-buffer or attribute-arena offset. Arenas are indexed by `u32`
+/// to keep nodes small; a document whose payload outgrows 4 GiB panics.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("document arena exceeds u32 range")
+}
 
 /// Index of a node in a [`Document`] arena.
 ///
@@ -27,51 +37,47 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A single attribute. Names are stored lowercase.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Attr {
-    pub name: String,
-    pub value: String,
+/// A `u32` range into one of a document's arenas: bytes of its string
+/// buffer (the payload of a text, comment or doctype node, or an attribute
+/// value) or an element's run of its attribute arena. Only meaningful for
+/// the document that holds it; read payloads through [`Document::text`],
+/// [`Document::comment`], [`Document::doctype`] and [`Document::element`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Span {
+    start: u32,
+    end: u32,
 }
 
-/// Payload of an element node. Tag names are stored lowercase; the XPath
-/// engine matches case-insensitively for HTML fidelity with the paper's
-/// uppercase paths (`BODY[1]/DIV[2]/...`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Element {
-    pub name: String,
-    pub attrs: Vec<Attr>,
-}
-
-impl Element {
-    pub fn new(name: &str) -> Element {
-        Element { name: name.to_ascii_lowercase(), attrs: Vec::new() }
-    }
-
-    pub fn attr(&self, name: &str) -> Option<&str> {
-        let lower = name.to_ascii_lowercase();
-        self.attrs.iter().find(|a| a.name == lower).map(|a| a.value.as_str())
-    }
-
-    pub fn set_attr(&mut self, name: &str, value: &str) {
-        let lower = name.to_ascii_lowercase();
-        if let Some(a) = self.attrs.iter_mut().find(|a| a.name == lower) {
-            a.value = value.to_string();
-        } else {
-            self.attrs.push(Attr { name: lower, value: value.to_string() });
-        }
+impl Span {
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.end as usize
     }
 }
 
-/// What a node is.
-#[derive(Clone, Debug, PartialEq)]
+/// Payload of an element node: its interned name and its run of the
+/// document's attribute arena. Read it through [`Document::element`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ElementData {
+    name: Atom,
+    attrs: Span,
+}
+
+/// One slot of the document-level attribute arena.
+#[derive(Clone, Copy, Debug)]
+struct AttrSlot {
+    name: Atom,
+    value: Span,
+}
+
+/// What a node is. The payloads are handles into the document's arenas.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum NodeData {
     /// The document root (exactly one per arena, always [`Document::ROOT`]).
     Document,
-    Doctype(String),
-    Element(Element),
-    Text(String),
-    Comment(String),
+    Doctype(Span),
+    Element(ElementData),
+    Text(Span),
+    Comment(Span),
 }
 
 /// A node: tree links plus payload.
@@ -91,10 +97,118 @@ impl Node {
     }
 }
 
-/// An HTML document: an arena of nodes rooted at [`Document::ROOT`].
+/// An element, read from its document. Tag and attribute names are
+/// lowercase; the XPath engine matches case-insensitively for HTML
+/// fidelity with the paper's uppercase paths (`BODY[1]/DIV[2]/...`).
+#[derive(Clone, Copy, Debug)]
+pub struct Element<'d> {
+    pub name: &'d str,
+    pub attrs: Attrs<'d>,
+}
+
+impl<'d> Element<'d> {
+    /// Value of the attribute `name` (case-insensitive).
+    pub fn attr(&self, name: &str) -> Option<&'d str> {
+        self.attrs.iter().find(|a| a.name.eq_ignore_ascii_case(name)).map(|a| a.value)
+    }
+}
+
+/// A single attribute, read from its document. Names are lowercase.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Attr<'d> {
+    pub name: &'d str,
+    pub value: &'d str,
+}
+
+/// An element's attributes, in source order.
+#[derive(Clone, Copy)]
+pub struct Attrs<'d> {
+    doc: &'d Document,
+    slots: &'d [AttrSlot],
+}
+
+impl<'d> Attrs<'d> {
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    pub fn get(&self, index: usize) -> Option<Attr<'d>> {
+        self.slots.get(index).map(|&slot| self.doc.attr_of(slot))
+    }
+
+    pub fn iter(&self) -> AttrIter<'d> {
+        AttrIter { doc: self.doc, slots: self.slots.iter() }
+    }
+}
+
+impl fmt::Debug for Attrs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'d> IntoIterator for Attrs<'d> {
+    type Item = Attr<'d>;
+    type IntoIter = AttrIter<'d>;
+
+    fn into_iter(self) -> AttrIter<'d> {
+        self.iter()
+    }
+}
+
+impl<'d> IntoIterator for &Attrs<'d> {
+    type Item = Attr<'d>;
+    type IntoIter = AttrIter<'d>;
+
+    fn into_iter(self) -> AttrIter<'d> {
+        self.iter()
+    }
+}
+
+pub struct AttrIter<'d> {
+    doc: &'d Document,
+    slots: std::slice::Iter<'d, AttrSlot>,
+}
+
+impl<'d> Iterator for AttrIter<'d> {
+    type Item = Attr<'d>;
+
+    fn next(&mut self) -> Option<Attr<'d>> {
+        self.slots.next().map(|&slot| self.doc.attr_of(slot))
+    }
+}
+
+/// Write access to one element's attributes.
+pub struct ElementMut<'d> {
+    doc: &'d mut Document,
+    id: NodeId,
+}
+
+impl ElementMut<'_> {
+    /// Set attribute `name` (case-insensitive), replacing an existing
+    /// value. Values are appended to the string buffer; a new attribute is
+    /// appended to the attribute arena, after moving the element's run to
+    /// the end of the arena if it is not there already. Replaced bytes and
+    /// slots stay in their arenas, unused, until the document drops.
+    pub fn set_attr(&mut self, name: &str, value: &str) {
+        self.doc.set_attr(self.id, name, value);
+    }
+}
+
+/// An HTML document: an arena of nodes rooted at [`Document::ROOT`], plus
+/// the arenas their payloads live in (see the crate docs for the layout).
 #[derive(Clone, Debug)]
 pub struct Document {
     nodes: Vec<Node>,
+    /// Every element's attributes; each element owns one contiguous run.
+    attrs: Vec<AttrSlot>,
+    /// Text, comment and doctype payloads and attribute values.
+    buf: String,
+    names: Names,
 }
 
 impl Default for Document {
@@ -109,7 +223,20 @@ impl Document {
 
     /// An empty document containing only the document node.
     pub fn new() -> Document {
-        Document { nodes: vec![Node::new(NodeData::Document)] }
+        Document::with_capacity(0, 0, 0)
+    }
+
+    /// An empty document with room for `nodes` nodes, `attrs` attributes
+    /// and `bytes` bytes of payload before any arena grows.
+    pub(crate) fn with_capacity(nodes: usize, attrs: usize, bytes: usize) -> Document {
+        let mut doc = Document {
+            nodes: Vec::with_capacity(nodes.max(1)),
+            attrs: Vec::with_capacity(attrs),
+            buf: String::with_capacity(bytes),
+            names: Names::default(),
+        };
+        doc.nodes.push(Node::new(NodeData::Document));
+        doc
     }
 
     /// Number of arena slots (including detached nodes).
@@ -129,8 +256,32 @@ impl Document {
         &self.nodes[id.index()]
     }
 
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
+    // ---- arenas ------------------------------------------------------------
+
+    /// Append `text` to the string buffer.
+    fn store(&mut self, text: &str) -> Span {
+        let start = self.buf.len();
+        self.buf.push_str(text);
+        Span { start: offset(start), end: offset(self.buf.len()) }
+    }
+
+    fn str(&self, span: Span) -> &str {
+        &self.buf[span.range()]
+    }
+
+    fn attr_of(&self, slot: AttrSlot) -> Attr<'_> {
+        Attr { name: self.names.name(slot.name), value: self.str(slot.value) }
+    }
+
+    fn attr_slots(&self, el: ElementData) -> &[AttrSlot] {
+        &self.attrs[el.attrs.range()]
+    }
+
+    fn element_data(&self, id: NodeId) -> Option<ElementData> {
+        match self.nodes[id.index()].data {
+            NodeData::Element(el) => Some(el),
+            _ => None,
+        }
     }
 
     // ---- construction -----------------------------------------------------
@@ -141,28 +292,73 @@ impl Document {
         id
     }
 
+    /// A new element whose attributes are the `attrs` pairs; the tree
+    /// builder's path, where the tokenizer has already dropped duplicates.
+    pub(crate) fn create_element_from(&mut self, name: Atom, attrs: &[Attribute<'_>]) -> NodeId {
+        let first = offset(self.attrs.len());
+        for (k, v) in attrs {
+            let slot = AttrSlot { name: self.names.intern(k), value: self.store(v) };
+            self.attrs.push(slot);
+        }
+        let attrs = Span { start: first, end: offset(self.attrs.len()) };
+        self.push(Node::new(NodeData::Element(ElementData { name, attrs })))
+    }
+
+    /// Give `id`, an element without attributes, the `attrs` pairs. The
+    /// tree builder's path for the merged attributes of `<html>`, `<head>`
+    /// and `<body>`.
+    pub(crate) fn set_attrs_from<'v>(
+        &mut self,
+        id: NodeId,
+        attrs: impl Iterator<Item = (Atom, &'v str)>,
+    ) {
+        let mut el = self.element_data(id).expect("set_attrs_from on non-element node");
+        assert_eq!(el.attrs.start, el.attrs.end, "element already has attributes");
+        el.attrs.start = offset(self.attrs.len());
+        for (name, value) in attrs {
+            let value = self.store(value);
+            self.attrs.push(AttrSlot { name, value });
+        }
+        el.attrs.end = offset(self.attrs.len());
+        self.nodes[id.index()].data = NodeData::Element(el);
+    }
+
+    /// Intern an element or attribute name.
+    pub(crate) fn intern(&mut self, name: &str) -> Atom {
+        self.names.intern(name)
+    }
+
+    /// The atom of an already-interned name.
+    pub(crate) fn atom(&self, name: &str) -> Option<Atom> {
+        self.names.get(name)
+    }
+
     pub fn create_element(&mut self, name: &str) -> NodeId {
-        self.push(Node::new(NodeData::Element(Element::new(name))))
+        let name = self.intern(name);
+        self.create_element_from(name, &[])
     }
 
     pub fn create_element_with_attrs(&mut self, name: &str, attrs: &[(&str, &str)]) -> NodeId {
-        let mut el = Element::new(name);
+        let el = self.create_element(name);
         for (k, v) in attrs {
-            el.set_attr(k, v);
+            self.set_attr(el, k, v);
         }
-        self.push(Node::new(NodeData::Element(el)))
+        el
     }
 
     pub fn create_text(&mut self, text: &str) -> NodeId {
-        self.push(Node::new(NodeData::Text(text.to_string())))
+        let span = self.store(text);
+        self.push(Node::new(NodeData::Text(span)))
     }
 
     pub fn create_comment(&mut self, text: &str) -> NodeId {
-        self.push(Node::new(NodeData::Comment(text.to_string())))
+        let span = self.store(text);
+        self.push(Node::new(NodeData::Comment(span)))
     }
 
     pub fn create_doctype(&mut self, name: &str) -> NodeId {
-        self.push(Node::new(NodeData::Doctype(name.to_string())))
+        let span = self.store(name);
+        self.push(Node::new(NodeData::Doctype(span)))
     }
 
     // ---- mutation ----------------------------------------------------------
@@ -171,7 +367,12 @@ impl Document {
     /// from any previous location first.
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) {
         assert_ne!(parent, child, "node cannot be its own child");
-        debug_assert!(!self.is_ancestor_of(child, parent), "append would create a cycle");
+        // Only a node with children can be a strict ancestor; skipping the
+        // walk for leaves keeps debug-build parsing linear in depth.
+        debug_assert!(
+            self.first_child(child).is_none() || !self.is_ancestor_of(child, parent),
+            "append would create a cycle"
+        );
         self.detach(child);
         let old_last = self.nodes[parent.index()].last_child;
         {
@@ -245,12 +446,51 @@ impl Document {
         self.detach(old);
     }
 
-    /// Set the text of a text node. Panics on non-text nodes.
+    /// Set the text of a text node. Panics on non-text nodes. The new text
+    /// is appended to the string buffer; the old bytes stay there, unused,
+    /// until the document drops.
     pub fn set_text(&mut self, id: NodeId, text: &str) {
-        match &mut self.nodes[id.index()].data {
-            NodeData::Text(t) => *t = text.to_string(),
-            _ => panic!("set_text on non-text node"),
+        assert!(self.is_text(id), "set_text on non-text node");
+        let span = self.store(text);
+        self.nodes[id.index()].data = NodeData::Text(span);
+    }
+
+    /// Append `more` to a text node's text: in place when its text is the
+    /// last thing in the string buffer, by copying it to the end otherwise.
+    /// While parsing, the text the tree builder merges into always ends the
+    /// buffer, so adjacent text costs no copy.
+    pub(crate) fn append_text(&mut self, id: NodeId, more: &str) {
+        let NodeData::Text(span) = self.nodes[id.index()].data else {
+            panic!("append_text on non-text node");
+        };
+        let start = if span.end as usize == self.buf.len() {
+            span.start
+        } else {
+            let start = offset(self.buf.len());
+            self.buf.extend_from_within(span.range());
+            start
+        };
+        self.buf.push_str(more);
+        self.nodes[id.index()].data = NodeData::Text(Span { start, end: offset(self.buf.len()) });
+    }
+
+    /// See [`ElementMut::set_attr`]. Panics on non-element nodes.
+    fn set_attr(&mut self, id: NodeId, name: &str, value: &str) {
+        let mut el = self.element_data(id).expect("set_attr on non-element node");
+        let name = self.intern(name);
+        let value = self.store(value);
+        if let Some(slot) = self.attrs[el.attrs.range()].iter_mut().find(|s| s.name == name) {
+            slot.value = value;
+            return;
         }
+        if el.attrs.end as usize != self.attrs.len() {
+            let start = offset(self.attrs.len());
+            self.attrs.extend_from_within(el.attrs.range());
+            el.attrs = Span { start, end: offset(self.attrs.len()) };
+        }
+        self.attrs.push(AttrSlot { name, value });
+        el.attrs.end += 1;
+        self.nodes[id.index()].data = NodeData::Element(el);
     }
 
     // ---- queries -----------------------------------------------------------
@@ -285,26 +525,22 @@ impl Document {
 
     /// Lowercase tag name for element nodes.
     pub fn tag_name(&self, id: NodeId) -> Option<&str> {
-        match &self.nodes[id.index()].data {
-            NodeData::Element(el) => Some(el.name.as_str()),
-            _ => None,
-        }
+        self.element_data(id).map(|el| self.names.name(el.name))
     }
 
-    pub fn element(&self, id: NodeId) -> Option<&Element> {
-        match &self.nodes[id.index()].data {
-            NodeData::Element(el) => Some(el),
-            _ => None,
-        }
+    pub fn element(&self, id: NodeId) -> Option<Element<'_>> {
+        self.element_data(id).map(|el| Element {
+            name: self.names.name(el.name),
+            attrs: Attrs { doc: self, slots: self.attr_slots(el) },
+        })
     }
 
-    pub fn element_mut(&mut self, id: NodeId) -> Option<&mut Element> {
-        match &mut self.nodes[id.index()].data {
-            NodeData::Element(el) => Some(el),
-            _ => None,
-        }
+    pub fn element_mut(&mut self, id: NodeId) -> Option<ElementMut<'_>> {
+        self.element_data(id)?;
+        Some(ElementMut { doc: self, id })
     }
 
+    /// Value of attribute `name` (case-insensitive) of an element.
     pub fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
         self.element(id).and_then(|el| el.attr(name))
     }
@@ -312,8 +548,24 @@ impl Document {
     /// Text of a text node (not the recursive string value; see
     /// [`Document::text_content`]).
     pub fn text(&self, id: NodeId) -> Option<&str> {
-        match &self.nodes[id.index()].data {
-            NodeData::Text(t) => Some(t.as_str()),
+        match self.nodes[id.index()].data {
+            NodeData::Text(span) => Some(self.str(span)),
+            _ => None,
+        }
+    }
+
+    /// Text of a comment node.
+    pub fn comment(&self, id: NodeId) -> Option<&str> {
+        match self.nodes[id.index()].data {
+            NodeData::Comment(span) => Some(self.str(span)),
+            _ => None,
+        }
+    }
+
+    /// Content of a doctype node (`html` for `<!DOCTYPE html>`).
+    pub fn doctype(&self, id: NodeId) -> Option<&str> {
+        match self.nodes[id.index()].data {
+            NodeData::Doctype(span) => Some(self.str(span)),
             _ => None,
         }
     }
@@ -324,7 +576,7 @@ impl Document {
     pub fn text_content(&self, id: NodeId) -> String {
         let mut out = String::new();
         for n in self.descendants_and_self(id) {
-            if let NodeData::Text(t) = &self.nodes[n.index()].data {
+            if let Some(t) = self.text(n) {
                 out.push_str(t);
             }
         }
@@ -454,8 +706,10 @@ impl Document {
     /// All elements with the given (case-insensitive) tag name, in document
     /// order.
     pub fn elements_by_tag(&self, name: &str) -> Vec<NodeId> {
-        let lower = name.to_ascii_lowercase();
-        self.descendants(Self::ROOT).filter(|&n| self.tag_name(n) == Some(lower.as_str())).collect()
+        let Some(atom) = self.atom(name) else { return Vec::new() };
+        self.descendants(Self::ROOT)
+            .filter(|&n| self.element_data(n).is_some_and(|el| el.name == atom))
+            .collect()
     }
 
     /// The `<html>` element, if present.

@@ -5,6 +5,8 @@
 //! corpus); unknown references are passed through verbatim, matching
 //! browser error tolerance.
 
+use std::borrow::Cow;
+
 /// Named entities supported by the decoder (name without `&`/`;` → char).
 static NAMED: &[(&str, &str)] = &[
     ("AElig", "Æ"),
@@ -114,11 +116,8 @@ pub fn decode_entities(input: &str) -> String {
             out.push_str(&input[start..i]);
             continue;
         }
-        match decode_one(&input[i..]) {
-            Some((text, consumed)) => {
-                out.push_str(&text);
-                i += consumed;
-            }
+        match decode_one(&input[i..], &mut out) {
+            Some(consumed) => i += consumed,
             None => {
                 out.push('&');
                 i += 1;
@@ -128,9 +127,10 @@ pub fn decode_entities(input: &str) -> String {
     out
 }
 
-/// Try to decode one reference at the start of `s` (which begins with `&`).
-/// Returns the decoded text and the number of bytes consumed.
-fn decode_one(s: &str) -> Option<(String, usize)> {
+/// Try to decode one reference at the start of `s` (which begins with `&`),
+/// appending the decoded text to `out`. Returns the number of bytes
+/// consumed.
+fn decode_one(s: &str, out: &mut String) -> Option<usize> {
     let bytes = s.as_bytes();
     debug_assert_eq!(bytes[0], b'&');
     if bytes.len() < 2 {
@@ -152,7 +152,8 @@ fn decode_one(s: &str) -> Option<(String, usize)> {
         let value = u32::from_str_radix(&s[digits_start..end], radix).ok()?;
         let ch = char::from_u32(value).unwrap_or('\u{FFFD}');
         let consumed = if bytes.get(end) == Some(&b';') { end + 1 } else { end };
-        return Some((ch.to_string(), consumed));
+        out.push(ch);
+        return Some(consumed);
     }
     // Named reference: longest alphanumeric run after '&'.
     let mut end = 1;
@@ -165,12 +166,35 @@ fn decode_one(s: &str) -> Option<(String, usize)> {
     let name = &s[1..end];
     let text = lookup_named(name)?;
     let consumed = if bytes.get(end) == Some(&b';') { end + 1 } else { end };
-    Some((text.to_string(), consumed))
+    out.push_str(text);
+    Some(consumed)
+}
+
+/// [`decode_entities`], borrowing `input` when it holds no reference.
+pub(crate) fn decode_cow(input: &str) -> Cow<'_, str> {
+    if input.contains('&') {
+        Cow::Owned(decode_entities(input))
+    } else {
+        Cow::Borrowed(input)
+    }
 }
 
 /// Escape text for HTML text-node context.
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_escaped_text(&mut out, s);
+    out
+}
+
+/// Escape text for a double-quoted HTML attribute value.
+pub fn escape_attr(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    push_escaped_attr(&mut out, s);
+    out
+}
+
+/// [`escape_text`], appending to `out`.
+pub(crate) fn push_escaped_text(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '&' => out.push_str("&amp;"),
@@ -180,12 +204,10 @@ pub fn escape_text(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Escape text for a double-quoted HTML attribute value.
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// [`escape_attr`], appending to `out`.
+pub(crate) fn push_escaped_attr(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '&' => out.push_str("&amp;"),
@@ -194,7 +216,6 @@ pub fn escape_attr(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -15,6 +15,43 @@
 //!   head/body synthesis, raw-text elements);
 //! - serialisation back to HTML ([`Document::to_html`]).
 //!
+//! ## Memory layout
+//!
+//! A parsed document is a handful of buffers, whatever its size, rather
+//! than a few heap objects per node:
+//!
+//! - **Nodes**: one `Vec` of fixed-size [`Node`]s (tree links plus a
+//!   [`NodeData`] tag and handle), indexed by [`NodeId`].
+//! - **Names**: element and attribute names are interned atoms. Names of
+//!   HTML elements and common attributes index one static table, hashed at
+//!   compile time; any other name goes once into the document's own
+//!   overflow table. Interning lowercases, so every stored name is
+//!   lowercase.
+//! - **Strings**: text, comment and doctype payloads and attribute values
+//!   are `u32` byte ranges ([`Span`]s) into one `String` per document.
+//!   Character references are decoded on the way in.
+//! - **Attributes**: one document-level `Vec` of `(name atom, value span)`
+//!   slots; each element owns one contiguous run of it, in source order.
+//!
+//! Parsing borrows its tokens from the input ([`Token`]) and copies each
+//! text and attribute value into the string buffer (only one holding a
+//! character reference is decoded into a temporary first). While parsing,
+//! both arenas only grow at the end, in document order: the tree builder
+//! merges adjacent text by extending the last range in place, and holds
+//! the attributes of repeated `<html>`, `<head>` and `<body>` tags aside
+//! until the end, when it gives them to those elements.
+//! Dropping a document frees its few buffers and nothing else.
+//!
+//! **Mutation appends.** [`Document::set_text`], [`ElementMut::set_attr`] and
+//! the `create_*` constructors append to the string buffer (and, for a new
+//! attribute, to the attribute arena, moving the element's run to its end
+//! first when it is not already there). The bytes and slots they replace
+//! are not reused: they are garbage that stays allocated until the
+//! document drops. Detached nodes likewise keep their arena slots. A
+//! document that is edited heavily and kept for a long time grows; build a
+//! fresh one (for instance by re-parsing [`Document::to_html`]) to compact
+//! it.
+//!
 //! ```
 //! use retroweb_html::{parse, Document};
 //!
@@ -24,13 +61,18 @@
 //! assert_eq!(doc.text_content(cells[0]), "108 min");
 //! ```
 
+mod atom;
 mod dom;
 mod entities;
 mod serialize;
 mod tokenizer;
 mod tree;
 
-pub use dom::{Attr, Children, Document, Element, Node, NodeData, NodeId};
+pub use atom::is_void;
+pub use dom::{
+    Attr, AttrIter, Attrs, Children, Document, Element, ElementData, ElementMut, Node, NodeData,
+    NodeId, Span,
+};
 pub use entities::{decode_entities, escape_attr, escape_text};
-pub use tokenizer::{Token, Tokenizer};
-pub use tree::{is_void, parse};
+pub use tokenizer::{Attribute, Token, Tokenizer};
+pub use tree::parse;

@@ -1,17 +1,12 @@
 //! DOM → HTML text.
 
 use crate::dom::{Document, NodeData, NodeId};
-use crate::entities::{escape_attr, escape_text};
-use crate::tree::is_void;
+use crate::entities::{push_escaped_attr, push_escaped_text};
 
 impl Document {
     /// Serialise the whole document.
     pub fn to_html(&self) -> String {
-        let mut out = String::new();
-        for child in self.children(Document::ROOT) {
-            self.write_node(child, &mut out);
-        }
-        out
+        self.inner_html(Document::ROOT)
     }
 
     /// Serialise one node including its own tags ("outer HTML").
@@ -30,53 +25,84 @@ impl Document {
         out
     }
 
-    fn write_node(&self, id: NodeId, out: &mut String) {
-        match &self.node(id).data {
-            NodeData::Document => {
-                for child in self.children(id) {
-                    self.write_node(child, out);
+    /// Serialise the subtree at `top` in one pre-order walk over the tree
+    /// links: no recursion, so nesting depth cannot overflow the stack.
+    fn write_node(&self, top: NodeId, out: &mut String) {
+        let mut cur = top;
+        loop {
+            if self.write_open(cur, out) {
+                if let Some(child) = self.first_child(cur) {
+                    cur = child;
+                    continue;
                 }
+                self.write_close(cur, out);
             }
-            NodeData::Doctype(name) => {
+            // Climb until a next sibling, closing the elements left behind.
+            loop {
+                if cur == top {
+                    return;
+                }
+                if let Some(next) = self.next_sibling(cur) {
+                    cur = next;
+                    break;
+                }
+                cur = self.parent(cur).expect("a node below `top` has a parent");
+                self.write_close(cur, out);
+            }
+        }
+    }
+
+    /// Write everything of `id` that precedes its children; false when its
+    /// children are not serialised (leaves and void elements).
+    fn write_open(&self, id: NodeId, out: &mut String) -> bool {
+        match self.node(id).data {
+            NodeData::Document => true,
+            NodeData::Doctype(_) => {
                 out.push_str("<!DOCTYPE ");
-                out.push_str(name);
+                out.push_str(self.doctype(id).unwrap_or_default());
                 out.push('>');
+                false
             }
-            NodeData::Comment(text) => {
+            NodeData::Comment(_) => {
                 out.push_str("<!--");
-                out.push_str(text);
+                out.push_str(self.comment(id).unwrap_or_default());
                 out.push_str("-->");
+                false
             }
-            NodeData::Text(text) => {
+            NodeData::Text(_) => {
+                let text = self.text(id).unwrap_or_default();
                 // Raw-text elements must not be entity-escaped.
                 let parent_tag = self.parent(id).and_then(|p| self.tag_name(p));
                 if matches!(parent_tag, Some("script") | Some("style")) {
                     out.push_str(text);
                 } else {
-                    out.push_str(&escape_text(text));
+                    push_escaped_text(out, text);
                 }
+                false
             }
-            NodeData::Element(el) => {
+            NodeData::Element(_) => {
+                let el = self.element(id).expect("element node");
                 out.push('<');
-                out.push_str(&el.name);
-                for attr in &el.attrs {
+                out.push_str(el.name);
+                for attr in el.attrs {
                     out.push(' ');
-                    out.push_str(&attr.name);
+                    out.push_str(attr.name);
                     out.push_str("=\"");
-                    out.push_str(&escape_attr(&attr.value));
+                    push_escaped_attr(out, attr.value);
                     out.push('"');
                 }
                 out.push('>');
-                if is_void(&el.name) {
-                    return;
-                }
-                for child in self.children(id) {
-                    self.write_node(child, out);
-                }
-                out.push_str("</");
-                out.push_str(&el.name);
-                out.push('>');
+                !crate::is_void(el.name)
             }
+        }
+    }
+
+    /// Write the end tag of an element whose children were serialised.
+    fn write_close(&self, id: NodeId, out: &mut String) {
+        if let Some(name) = self.tag_name(id) {
+            out.push_str("</");
+            out.push_str(name);
+            out.push('>');
         }
     }
 }
@@ -130,6 +156,24 @@ mod tests {
         let div = doc.elements_by_tag("div")[0];
         assert_eq!(doc.outer_html(div), "<div><p>x</p></div>");
         assert_eq!(doc.inner_html(div), "<p>x</p>");
+    }
+
+    #[test]
+    fn void_element_children_not_serialised() {
+        let mut doc = Document::new();
+        let br = doc.create_element("br");
+        let t = doc.create_text("lost");
+        doc.append_child(Document::ROOT, br);
+        doc.append_child(br, t);
+        assert_eq!(doc.to_html(), "<br>");
+    }
+
+    #[test]
+    fn nested_subtree_closes_in_order() {
+        let doc = parse("<body><div><p>a<b>b</b></p><!--c--></div><i>d</i></body>");
+        let div = doc.elements_by_tag("div")[0];
+        assert_eq!(doc.outer_html(div), "<div><p>a<b>b</b></p><!--c--></div>");
+        assert_eq!(doc.outer_html(doc.elements_by_tag("b")[0]), "<b>b</b>");
     }
 
     #[test]

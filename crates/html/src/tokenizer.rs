@@ -6,27 +6,40 @@
 //! raw-text elements (`script`/`style`), RCDATA elements
 //! (`title`/`textarea`), character references, and unterminated constructs
 //! at EOF.
+//!
+//! Tokens borrow from the input. Only text with character references and
+//! names with uppercase letters are copied (see [`Token`]).
 
-use crate::entities::decode_entities;
+use std::borrow::Cow;
 
-/// One lexical token.
+use crate::atom::lowercase;
+use crate::entities::decode_cow;
+
+/// One lexical token, borrowing from the input. Names are lowercase and
+/// texts and attribute values have their character references decoded;
+/// either costs a copy only when it changes the input.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Token {
-    StartTag { name: String, attrs: Vec<(String, String)>, self_closing: bool },
-    EndTag { name: String },
-    Text(String),
-    Comment(String),
-    Doctype(String),
+pub enum Token<'a> {
+    StartTag { name: Cow<'a, str>, attrs: Vec<Attribute<'a>>, self_closing: bool },
+    EndTag { name: Cow<'a, str> },
+    Text(Cow<'a, str>),
+    Comment(&'a str),
+    Doctype(&'a str),
 }
 
+/// A start tag's `(name, value)` pair.
+pub type Attribute<'a> = (Cow<'a, str>, Cow<'a, str>);
+
 /// Content model the tokenizer is currently in.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
     Data,
-    /// Raw text until `</name`: no entity decoding (script, style).
-    RawText(String),
-    /// Like raw text but entities are decoded (title, textarea).
-    Rcdata(String),
+    /// Text until `</close` (case-insensitive). Entities are decoded in
+    /// RCDATA (title, textarea) but not in raw text (script, style).
+    Raw {
+        close: &'static str,
+        decode: bool,
+    },
 }
 
 pub struct Tokenizer<'a> {
@@ -41,8 +54,25 @@ impl<'a> Tokenizer<'a> {
     }
 
     /// Tokenize the whole input.
-    pub fn run(input: &str) -> Vec<Token> {
+    pub fn run(input: &str) -> Vec<Token<'_>> {
         Tokenizer::new(input).collect()
+    }
+
+    /// The next token. A start tag's attributes go to `attrs` (cleared
+    /// first) rather than into the token, so a caller that reuses one
+    /// vector tokenizes without allocating per tag.
+    pub(crate) fn next_into(&mut self, attrs: &mut Vec<Attribute<'a>>) -> Option<Token<'a>> {
+        attrs.clear();
+        loop {
+            let token = match self.mode {
+                Mode::Data => self.next_data(attrs),
+                Mode::Raw { close, decode } => self.next_raw(close, decode),
+            };
+            // `None` with input left is a skipped bogus end tag.
+            if token.is_some() || self.pos >= self.input.len() {
+                return token;
+            }
+        }
     }
 
     fn rest(&self) -> &'a str {
@@ -68,147 +98,113 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    // ---- content-model scanners ---------------------------------------------
-
-    fn next_raw(&mut self, name: String, decode: bool) -> Option<Token> {
-        // Scan for the matching `</name` (case-insensitive).
-        let needle = format!("</{name}");
-        let hay = self.rest();
-        let lower = hay.to_ascii_lowercase();
-        match lower.find(&needle) {
-            Some(0) => {
-                // Directly at the close tag: consume it and leave raw mode.
-                self.mode = Mode::Data;
-                self.pos += needle.len();
-                // Skip to '>' (attributes on end tags are ignored).
-                while let Some(b) = self.peek() {
-                    self.pos += 1;
-                    if b == b'>' {
-                        break;
-                    }
-                }
-                Some(Token::EndTag { name })
-            }
-            Some(idx) => {
-                let text = &hay[..idx];
-                self.pos += idx;
-                let content = if decode { decode_entities(text) } else { text.to_string() };
-                Some(Token::Text(content))
-            }
-            None => {
-                // Unterminated raw element: the rest is text.
-                self.mode = Mode::Data;
-                let text = hay;
-                self.pos = self.input.len();
-                if text.is_empty() {
-                    None
-                } else {
-                    let content = if decode { decode_entities(text) } else { text.to_string() };
-                    Some(Token::Text(content))
-                }
-            }
-        }
+    /// Consume up to and including the next `>` (or to the end).
+    fn skip_past_gt(&mut self) {
+        self.pos = match self.rest().find('>') {
+            Some(i) => self.pos + i + 1,
+            None => self.input.len(),
+        };
     }
 
-    fn next_data(&mut self) -> Option<Token> {
+    /// Consume `rest()` up to the first `terminator`, and the terminator;
+    /// returns what precedes it (everything, when it never comes).
+    fn take_until(&mut self, terminator: &str) -> &'a str {
+        let hay = self.rest();
+        let (content, consumed) = match hay.find(terminator) {
+            Some(idx) => (&hay[..idx], idx + terminator.len()),
+            None => (hay, hay.len()),
+        };
+        self.pos += consumed;
+        content
+    }
+
+    // ---- content-model scanners ---------------------------------------------
+
+    fn next_raw(&mut self, close: &'static str, decode: bool) -> Option<Token<'a>> {
+        let hay = self.rest();
+        let end = find_close(hay, close);
+        if end == Some(0) {
+            // Directly at the close tag: consume it (attributes on end tags
+            // are ignored) and leave raw mode.
+            self.mode = Mode::Data;
+            self.pos += 2 + close.len();
+            self.skip_past_gt();
+            return Some(Token::EndTag { name: Cow::Borrowed(close) });
+        }
+        // Unterminated raw element: the rest is text.
+        let text = match end {
+            Some(idx) => &hay[..idx],
+            None => {
+                self.mode = Mode::Data;
+                hay
+            }
+        };
+        if text.is_empty() {
+            return None;
+        }
+        self.pos += text.len();
+        Some(Token::Text(if decode { decode_cow(text) } else { Cow::Borrowed(text) }))
+    }
+
+    fn next_data(&mut self, attrs: &mut Vec<Attribute<'a>>) -> Option<Token<'a>> {
         if self.pos >= self.input.len() {
             return None;
         }
         if self.peek() != Some(b'<') {
             // Text run until next '<'.
             let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'<' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            return Some(Token::Text(decode_entities(&self.input[start..self.pos])));
+            self.pos = self.rest().find('<').map_or(self.input.len(), |i| self.pos + i);
+            return Some(Token::Text(decode_cow(&self.input[start..self.pos])));
         }
         // self.peek() == '<'
         let after = self.bytes().get(self.pos + 1).copied();
         match after {
-            Some(b'!') => self.markup_declaration(),
+            Some(b'!') => Some(self.markup_declaration()),
             Some(b'/') => self.end_tag(),
-            Some(c) if c.is_ascii_alphabetic() => self.start_tag(),
+            Some(c) if c.is_ascii_alphabetic() => Some(self.start_tag(attrs)),
             _ => {
                 // Lone '<' is text (error tolerance).
                 self.pos += 1;
-                Some(Token::Text("<".to_string()))
+                Some(Token::Text(Cow::Borrowed("<")))
             }
         }
     }
 
-    fn markup_declaration(&mut self) -> Option<Token> {
+    fn markup_declaration(&mut self) -> Token<'a> {
         if self.rest().starts_with("<!--") {
             self.pos += 4;
-            let hay = self.rest();
-            let (content, consumed) = match hay.find("-->") {
-                Some(idx) => (&hay[..idx], idx + 3),
-                None => (hay, hay.len()),
-            };
-            let token = Token::Comment(content.to_string());
-            self.pos += consumed;
-            return Some(token);
+            return Token::Comment(self.take_until("-->"));
         }
         if self.starts_with_ci("<!DOCTYPE") {
             self.pos += "<!DOCTYPE".len();
-            let hay = self.rest();
-            let (content, consumed) = match hay.find('>') {
-                Some(idx) => (&hay[..idx], idx + 1),
-                None => (hay, hay.len()),
-            };
-            let token = Token::Doctype(content.trim().to_string());
-            self.pos += consumed;
-            return Some(token);
+            return Token::Doctype(self.take_until(">").trim());
         }
         if self.rest().starts_with("<![CDATA[") {
             self.pos += "<![CDATA[".len();
-            let hay = self.rest();
-            let (content, consumed) = match hay.find("]]>") {
-                Some(idx) => (&hay[..idx], idx + 3),
-                None => (hay, hay.len()),
-            };
-            let token = Token::Text(content.to_string());
-            self.pos += consumed;
-            return Some(token);
+            return Token::Text(Cow::Borrowed(self.take_until("]]>")));
         }
         // Bogus comment: `<!` ... `>`.
         self.pos += 2;
-        let hay = self.rest();
-        let (content, consumed) = match hay.find('>') {
-            Some(idx) => (&hay[..idx], idx + 1),
-            None => (hay, hay.len()),
-        };
-        let token = Token::Comment(content.to_string());
-        self.pos += consumed;
-        Some(token)
+        Token::Comment(self.take_until(">"))
     }
 
-    fn end_tag(&mut self) -> Option<Token> {
+    /// An end tag, or `None` for a bogus one (`</>`, `</3>`), which is
+    /// skipped.
+    fn end_tag(&mut self) -> Option<Token<'a>> {
         self.pos += 2; // "</"
         if !matches!(self.peek(), Some(c) if c.is_ascii_alphabetic()) {
-            // `</>` or `</3>`: bogus, consume to '>'.
-            let hay = self.rest();
-            let consumed = hay.find('>').map(|i| i + 1).unwrap_or(hay.len());
-            self.pos += consumed;
-            return self.next();
+            self.skip_past_gt();
+            return None;
         }
         let name = self.tag_name();
         // Ignore anything up to '>' (attributes on end tags are invalid).
-        while let Some(b) = self.peek() {
-            self.pos += 1;
-            if b == b'>' {
-                break;
-            }
-        }
+        self.skip_past_gt();
         Some(Token::EndTag { name })
     }
 
-    fn start_tag(&mut self) -> Option<Token> {
+    fn start_tag(&mut self, attrs: &mut Vec<Attribute<'a>>) -> Token<'a> {
         self.pos += 1; // '<'
         let name = self.tag_name();
-        let mut attrs: Vec<(String, String)> = Vec::new();
         let mut self_closing = false;
         loop {
             self.skip_ws();
@@ -237,16 +233,18 @@ impl<'a> Tokenizer<'a> {
             }
         }
         if !self_closing {
-            match name.as_str() {
-                "script" | "style" => self.mode = Mode::RawText(name.clone()),
-                "title" | "textarea" => self.mode = Mode::Rcdata(name.clone()),
-                _ => {}
-            }
+            self.mode = match &*name {
+                "script" => Mode::Raw { close: "script", decode: false },
+                "style" => Mode::Raw { close: "style", decode: false },
+                "title" => Mode::Raw { close: "title", decode: true },
+                "textarea" => Mode::Raw { close: "textarea", decode: true },
+                _ => self.mode,
+            };
         }
-        Some(Token::StartTag { name, attrs, self_closing })
+        Token::StartTag { name, attrs: Vec::new(), self_closing }
     }
 
-    fn tag_name(&mut self) -> String {
+    fn tag_name(&mut self) -> Cow<'a, str> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b':' {
@@ -255,10 +253,10 @@ impl<'a> Tokenizer<'a> {
                 break;
             }
         }
-        self.input[start..self.pos].to_ascii_lowercase()
+        lowercase(&self.input[start..self.pos])
     }
 
-    fn attribute(&mut self) -> Option<(String, String)> {
+    fn attribute(&mut self) -> Option<Attribute<'a>> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             match b {
@@ -271,28 +269,26 @@ impl<'a> Tokenizer<'a> {
             self.pos += 1;
             return None;
         }
-        let name = self.input[start..self.pos].to_ascii_lowercase();
+        let name = lowercase(&self.input[start..self.pos]);
         self.skip_ws();
         if self.peek() != Some(b'=') {
-            return Some((name, String::new()));
+            return Some((name, Cow::Borrowed("")));
         }
         self.pos += 1;
         self.skip_ws();
-        let value = match self.peek() {
+        let raw = match self.peek() {
             Some(q @ (b'"' | b'\'')) => {
                 self.pos += 1;
                 let vstart = self.pos;
-                while let Some(b) = self.peek() {
-                    if b == q {
-                        break;
-                    }
-                    self.pos += 1;
-                }
+                self.pos = self.bytes()[vstart..]
+                    .iter()
+                    .position(|&b| b == q)
+                    .map_or(self.input.len(), |i| vstart + i);
                 let raw = &self.input[vstart..self.pos];
                 if self.peek() == Some(q) {
                     self.pos += 1;
                 }
-                decode_entities(raw)
+                raw
             }
             _ => {
                 let vstart = self.pos;
@@ -302,22 +298,39 @@ impl<'a> Tokenizer<'a> {
                         _ => self.pos += 1,
                     }
                 }
-                decode_entities(&self.input[vstart..self.pos])
+                &self.input[vstart..self.pos]
             }
         };
-        Some((name, value))
+        Some((name, decode_cow(raw)))
     }
 }
 
-impl Iterator for Tokenizer<'_> {
-    type Item = Token;
-
-    fn next(&mut self) -> Option<Token> {
-        match self.mode.clone() {
-            Mode::Data => self.next_data(),
-            Mode::RawText(name) => self.next_raw(name, false),
-            Mode::Rcdata(name) => self.next_raw(name, true),
+/// Offset of the first `</close` in `hay`, comparing the name
+/// case-insensitively, without copying `hay`.
+fn find_close(hay: &str, close: &str) -> Option<usize> {
+    let bytes = hay.as_bytes();
+    let mut from = 0;
+    while let Some(i) = hay[from..].find("</") {
+        let at = from + i;
+        let name = &bytes[at + 2..];
+        if name.len() >= close.len() && name[..close.len()].eq_ignore_ascii_case(close.as_bytes()) {
+            return Some(at);
         }
+        from = at + 1;
+    }
+    None
+}
+
+impl<'a> Iterator for Tokenizer<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        let mut attrs = Vec::new();
+        let mut token = self.next_into(&mut attrs)?;
+        if let Token::StartTag { attrs: slot, .. } = &mut token {
+            *slot = attrs;
+        }
+        Some(token)
     }
 }
 
@@ -325,10 +338,10 @@ impl Iterator for Tokenizer<'_> {
 mod tests {
     use super::*;
 
-    fn start(name: &str, attrs: &[(&str, &str)]) -> Token {
+    fn start(name: &'static str, attrs: &[(&'static str, &'static str)]) -> Token<'static> {
         Token::StartTag {
             name: name.into(),
-            attrs: attrs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            attrs: attrs.iter().map(|&(k, v)| (k.into(), v.into())).collect(),
             self_closing: false,
         }
     }
@@ -381,11 +394,7 @@ mod tests {
         let toks = Tokenizer::run("<!DOCTYPE html><!-- c --><![CDATA[raw <x>]]>");
         assert_eq!(
             toks,
-            vec![
-                Token::Doctype("html".into()),
-                Token::Comment(" c ".into()),
-                Token::Text("raw <x>".into()),
-            ]
+            vec![Token::Doctype("html"), Token::Comment(" c "), Token::Text("raw <x>".into()),]
         );
     }
 
@@ -437,7 +446,7 @@ mod tests {
             Tokenizer::run("<p>a<"),
             vec![start("p", &[]), Token::Text("a".into()), Token::Text("<".into())]
         );
-        assert_eq!(Tokenizer::run("<!-- open"), vec![Token::Comment(" open".into())]);
+        assert_eq!(Tokenizer::run("<!-- open"), vec![Token::Comment(" open")]);
         assert_eq!(
             Tokenizer::run("<script>x"),
             vec![start("script", &[]), Token::Text("x".into())]
@@ -466,6 +475,38 @@ mod tests {
     fn duplicate_attrs_first_wins() {
         let toks = Tokenizer::run(r#"<a id="1" id="2">"#);
         assert_eq!(toks, vec![start("a", &[("id", "1")])]);
+    }
+
+    #[test]
+    fn raw_text_close_tag_is_case_insensitive() {
+        let toks = Tokenizer::run("<SCRIPT>a</scr + b</Script ><p>");
+        assert_eq!(
+            toks,
+            vec![
+                start("script", &[]),
+                Token::Text("a</scr + b".into()),
+                Token::EndTag { name: "script".into() },
+                start("p", &[]),
+            ]
+        );
+        assert_eq!(Tokenizer::run("<style>"), vec![start("style", &[])]);
+    }
+
+    #[test]
+    fn tokens_borrow_unless_decoded_or_renamed() {
+        let toks = Tokenizer::run("<div class=x>plain &amp; <X-Y>");
+        let Token::StartTag { name, attrs, .. } = &toks[0] else { panic!("{toks:?}") };
+        assert!(matches!(name, Cow::Borrowed("div")));
+        assert!(matches!(attrs[0], (Cow::Borrowed("class"), Cow::Borrowed("x"))));
+        assert!(matches!(&toks[1], Token::Text(Cow::Owned(t)) if t == "plain & "));
+        assert!(matches!(&toks[2], Token::StartTag { name: Cow::Owned(n), .. } if n == "x-y"));
+    }
+
+    #[test]
+    fn many_bogus_end_tags_do_not_recurse() {
+        let input = format!("a{}b", "</>".repeat(200_000));
+        let toks = Tokenizer::run(&input);
+        assert_eq!(toks, vec![Token::Text("a".into()), Token::Text("b".into())]);
     }
 
     #[test]

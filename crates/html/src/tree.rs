@@ -12,84 +12,52 @@
 //! - no foster parenting / adoption agency: misnested formatting elements
 //!   are closed where their nearest enclosing scope ends.
 
+use std::collections::HashSet;
+use std::ops::Range;
+
+use crate::atom::{names::*, Atom, STATIC_LEN};
 use crate::dom::{Document, NodeId};
-use crate::tokenizer::{Token, Tokenizer};
-
-/// Elements that never have children or end tags.
-pub fn is_void(tag: &str) -> bool {
-    matches!(
-        tag,
-        "area"
-            | "base"
-            | "br"
-            | "col"
-            | "embed"
-            | "hr"
-            | "img"
-            | "input"
-            | "link"
-            | "meta"
-            | "param"
-            | "source"
-            | "track"
-            | "wbr"
-    )
-}
-
-/// Elements whose start tag implicitly closes an open `<p>`.
-fn closes_p(tag: &str) -> bool {
-    matches!(
-        tag,
-        "address"
-            | "article"
-            | "aside"
-            | "blockquote"
-            | "center"
-            | "dir"
-            | "div"
-            | "dl"
-            | "fieldset"
-            | "footer"
-            | "form"
-            | "h1"
-            | "h2"
-            | "h3"
-            | "h4"
-            | "h5"
-            | "h6"
-            | "header"
-            | "hr"
-            | "li"
-            | "main"
-            | "menu"
-            | "nav"
-            | "ol"
-            | "p"
-            | "pre"
-            | "section"
-            | "table"
-            | "ul"
-    )
-}
-
-/// Elements that belong in `<head>` when seen before any body content.
-fn is_head_element(tag: &str) -> bool {
-    matches!(tag, "title" | "base" | "link" | "meta" | "style" | "script")
-}
+use crate::tokenizer::{Attribute, Token, Tokenizer};
 
 /// Parse an HTML string into a [`Document`].
 pub fn parse(html: &str) -> Document {
-    let mut builder = Builder::new();
-    for token in Tokenizer::new(html) {
-        builder.token(token);
+    let mut builder = Builder::new(html.len());
+    let mut tokens = Tokenizer::new(html);
+    let mut attrs = Vec::new();
+    while let Some(token) = tokens.next_into(&mut attrs) {
+        builder.token(token, &attrs);
     }
     builder.finish()
+}
+
+/// "Not open" in [`Builder::topmost`] and [`Open::below`].
+const NONE: u32 = u32::MAX;
+
+/// An entry of the open-element stack.
+struct Open {
+    node: NodeId,
+    name: Atom,
+    /// Stack index of the next open element below with the same name.
+    below: u32,
+}
+
+/// An attribute of an `<html>`, `<head>` or `<body>` start tag, held by
+/// the [`Builder`] until [`Builder::finish`]. Its value is a range of
+/// `Builder::merged_values`.
+struct Merged {
+    el: NodeId,
+    name: Atom,
+    value: Range<usize>,
 }
 
 struct Builder {
     doc: Document,
     /// Open elements below `body` (or below `head` for head content).
-    stack: Vec<NodeId>,
+    stack: Vec<Open>,
+    /// Per atom: stack index of the topmost open element with that name,
+    /// so implied and explicit end tags find their target in O(1) however
+    /// deep the stack is.
+    topmost: Vec<u32>,
     html: Option<NodeId>,
     head: Option<NodeId>,
     body: Option<NodeId>,
@@ -98,18 +66,37 @@ struct Builder {
     in_body: bool,
     /// Set while the insertion point is inside `<head>` (e.g. `<title>`).
     head_stack: bool,
+    /// Attributes of `<html>`, `<head>` and `<body>` start tags, which
+    /// merge into the one element of each name, the first value of a name
+    /// winning. Holding them until `finish` keeps both arenas growing only
+    /// at the end while parsing, so a text node is always extended in
+    /// place, however many such tags interrupt it.
+    merged: Vec<Merged>,
+    merged_values: String,
+    /// The `(element, name)` pairs in `merged`.
+    merged_names: HashSet<(NodeId, Atom)>,
 }
 
 impl Builder {
-    fn new() -> Builder {
+    fn new(input_len: usize) -> Builder {
+        // Node and attribute arenas are sized for typical markup (about 25
+        // input bytes per node and 55 per attribute) and grow past that.
+        // The string buffer is sized to the input, which bounds it: every
+        // payload byte copies a distinct input byte, and decoding a
+        // character reference only shrinks it.
+        let doc = Document::with_capacity(input_len / 24 + 8, input_len / 48, input_len);
         Builder {
-            doc: Document::new(),
-            stack: Vec::new(),
+            doc,
+            stack: Vec::with_capacity(64),
+            topmost: vec![NONE; STATIC_LEN],
             html: None,
             head: None,
             body: None,
             in_body: false,
             head_stack: false,
+            merged: Vec::new(),
+            merged_values: String::new(),
+            merged_names: HashSet::new(),
         }
     }
 
@@ -117,7 +104,7 @@ impl Builder {
         if let Some(h) = self.html {
             return h;
         }
-        let h = self.doc.create_element("html");
+        let h = self.doc.create_element_from(HTML, &[]);
         self.doc.append_child(Document::ROOT, h);
         self.html = Some(h);
         h
@@ -128,7 +115,7 @@ impl Builder {
             return h;
         }
         let html = self.ensure_html();
-        let h = self.doc.create_element("head");
+        let h = self.doc.create_element_from(HEAD, &[]);
         self.doc.append_child(html, h);
         self.head = Some(h);
         h
@@ -143,7 +130,7 @@ impl Builder {
         // always have the html > head + body shape.
         self.ensure_head();
         let html = self.ensure_html();
-        let b = self.doc.create_element("body");
+        let b = self.doc.create_element_from(BODY, &[]);
         self.doc.append_child(html, b);
         self.body = Some(b);
         self.in_body = true;
@@ -153,8 +140,8 @@ impl Builder {
 
     /// Current insertion parent.
     fn parent(&mut self) -> NodeId {
-        if let Some(&top) = self.stack.last() {
-            return top;
+        if let Some(top) = self.stack.last() {
+            return top.node;
         }
         if self.head_stack {
             return self.ensure_head();
@@ -162,16 +149,42 @@ impl Builder {
         self.ensure_body()
     }
 
-    fn token(&mut self, token: Token) {
+    // ---- the open-element stack ----------------------------------------------
+
+    fn push(&mut self, node: NodeId, name: Atom) {
+        if name.index() >= self.topmost.len() {
+            self.topmost.resize(name.index() + 1, NONE);
+        }
+        let slot = &mut self.topmost[name.index()];
+        self.stack.push(Open { node, name, below: *slot });
+        *slot = u32::try_from(self.stack.len() - 1).expect("stack depth fits the node ids");
+    }
+
+    /// Pop every open element at stack index `i` and above.
+    fn truncate(&mut self, i: usize) {
+        while self.stack.len() > i {
+            let open = self.stack.pop().expect("stack is longer than i");
+            self.topmost[open.name.index()] = open.below;
+        }
+    }
+
+    /// Stack index of the topmost open element named `name`.
+    fn nearest(&self, name: Atom) -> Option<usize> {
+        self.topmost.get(name.index()).filter(|&&i| i != NONE).map(|&i| i as usize)
+    }
+
+    // ---- tokens ---------------------------------------------------------------
+
+    fn token(&mut self, token: Token<'_>, attrs: &[Attribute<'_>]) {
         match token {
             Token::Doctype(name) => {
                 if self.html.is_none() {
-                    let dt = self.doc.create_doctype(&name);
+                    let dt = self.doc.create_doctype(name);
                     self.doc.append_child(Document::ROOT, dt);
                 }
             }
             Token::Comment(text) => {
-                let c = self.doc.create_comment(&text);
+                let c = self.doc.create_comment(text);
                 if self.html.is_none() && self.stack.is_empty() {
                     self.doc.append_child(Document::ROOT, c);
                 } else {
@@ -180,10 +193,16 @@ impl Builder {
                 }
             }
             Token::Text(text) => self.text(&text),
-            Token::StartTag { name, attrs, self_closing } => {
-                self.start_tag(&name, attrs, self_closing)
+            Token::StartTag { name, self_closing, .. } => {
+                let name = self.doc.intern(&name);
+                self.start_tag(name, attrs, self_closing)
             }
-            Token::EndTag { name } => self.end_tag(&name),
+            Token::EndTag { name } => {
+                // A name never interned was never opened.
+                if let Some(name) = self.doc.atom(&name) {
+                    self.end_tag(name)
+                }
+            }
         }
     }
 
@@ -191,8 +210,11 @@ impl Builder {
         if text.is_empty() {
             return;
         }
-        let ws_only = text.chars().all(|c| c.is_whitespace());
-        if ws_only && self.stack.is_empty() && !self.in_body && !self.head_stack {
+        if self.stack.is_empty()
+            && !self.in_body
+            && !self.head_stack
+            && text.chars().all(char::is_whitespace)
+        {
             // Inter-element whitespace before content starts: drop it, as
             // browsers effectively do for the before-head/before-body modes.
             return;
@@ -200,9 +222,8 @@ impl Builder {
         let parent = self.parent();
         // Merge with a trailing text node so "a&amp;b" becomes one node.
         if let Some(last) = self.doc.last_child(parent) {
-            if let Some(existing) = self.doc.text(last) {
-                let merged = format!("{existing}{text}");
-                self.doc.set_text(last, &merged);
+            if self.doc.is_text(last) {
+                self.doc.append_text(last, text);
                 return;
             }
         }
@@ -210,14 +231,14 @@ impl Builder {
         self.doc.append_child(parent, t);
     }
 
-    fn start_tag(&mut self, name: &str, attrs: Vec<(String, String)>, self_closing: bool) {
+    fn start_tag(&mut self, name: Atom, attrs: &[Attribute<'_>], self_closing: bool) {
         match name {
-            "html" => {
+            HTML => {
                 let h = self.ensure_html();
                 self.merge_attrs(h, attrs);
                 return;
             }
-            "head" => {
+            HEAD => {
                 let h = self.ensure_head();
                 self.merge_attrs(h, attrs);
                 if !self.in_body {
@@ -225,7 +246,7 @@ impl Builder {
                 }
                 return;
             }
-            "body" => {
+            BODY => {
                 let b = self.ensure_body();
                 self.merge_attrs(b, attrs);
                 return;
@@ -233,13 +254,14 @@ impl Builder {
             _ => {}
         }
 
-        if is_head_element(name) && !self.in_body && self.stack.is_empty() {
+        let keeps_open = !name.is_void() && !self_closing;
+        if name.is_head_element() && !self.in_body && self.stack.is_empty() {
             self.head_stack = true;
             let head = self.ensure_head();
-            let el = self.create(name, attrs);
+            let el = self.doc.create_element_from(name, attrs);
             self.doc.append_child(head, el);
-            if !is_void(name) && !self_closing {
-                self.stack.push(el);
+            if keeps_open {
+                self.push(el, name);
             }
             return;
         }
@@ -250,108 +272,97 @@ impl Builder {
         }
         self.auto_close(name);
         let parent = self.parent();
-        let el = self.create(name, attrs);
+        let el = self.doc.create_element_from(name, attrs);
         self.doc.append_child(parent, el);
-        if !is_void(name) && !self_closing {
-            self.stack.push(el);
+        if keeps_open {
+            self.push(el, name);
         }
     }
 
-    fn create(&mut self, name: &str, attrs: Vec<(String, String)>) -> NodeId {
-        let el = self.doc.create_element(name);
+    fn merge_attrs(&mut self, el: NodeId, attrs: &[Attribute<'_>]) {
         for (k, v) in attrs {
-            self.doc.element_mut(el).unwrap().set_attr(&k, &v);
-        }
-        el
-    }
-
-    fn merge_attrs(&mut self, el: NodeId, attrs: Vec<(String, String)>) {
-        for (k, v) in attrs {
-            let element = self.doc.element_mut(el).unwrap();
-            if element.attr(&k).is_none() {
-                element.set_attr(&k, &v);
+            let name = self.doc.intern(k);
+            if self.merged_names.insert((el, name)) {
+                let start = self.merged_values.len();
+                self.merged_values.push_str(v);
+                self.merged.push(Merged { el, name, value: start..self.merged_values.len() });
             }
         }
     }
 
     /// Close elements whose end tag is implied by the start of `name`.
-    fn auto_close(&mut self, name: &str) {
+    fn auto_close(&mut self, name: Atom) {
         match name {
-            "li" => self.pop_to_nearest(&["li"], &["ul", "ol"]),
-            "dt" | "dd" => self.pop_to_nearest(&["dt", "dd"], &["dl"]),
-            "option" => self.pop_to_nearest(&["option"], &["select"]),
-            "optgroup" => {
-                self.pop_to_nearest(&["option"], &["select"]);
-                self.pop_to_nearest(&["optgroup"], &["select"]);
+            LI => self.pop_to_nearest(&[LI], &[UL, OL]),
+            DT | DD => self.pop_to_nearest(&[DT, DD], &[DL]),
+            OPTION => self.pop_to_nearest(&[OPTION], &[SELECT]),
+            OPTGROUP => {
+                self.pop_to_nearest(&[OPTION], &[SELECT]);
+                self.pop_to_nearest(&[OPTGROUP], &[SELECT]);
             }
-            "td" | "th" => self.pop_to_nearest(&["td", "th"], &["table", "tr"]),
-            "tr" => {
+            TD | TH => self.pop_to_nearest(&[TD, TH], &[TABLE, TR]),
+            TR => {
                 // A new row closes any open cell and the previous row.
-                self.pop_to_nearest(&["tr"], &["table"]);
-                self.pop_to_nearest(&["td", "th"], &["table"]);
+                self.pop_to_nearest(&[TR], &[TABLE]);
+                self.pop_to_nearest(&[TD, TH], &[TABLE]);
             }
-            "tbody" | "thead" | "tfoot" => {
-                self.pop_to_nearest(&["tr"], &["table"]);
-                self.pop_to_nearest(&["td", "th"], &["table"]);
-                self.pop_to_nearest(&["tbody", "thead", "tfoot"], &["table"]);
+            TBODY | THEAD | TFOOT => {
+                self.pop_to_nearest(&[TR], &[TABLE]);
+                self.pop_to_nearest(&[TD, TH], &[TABLE]);
+                self.pop_to_nearest(&[TBODY, THEAD, TFOOT], &[TABLE]);
             }
-            "col" => self.pop_to_nearest(&["col"], &["colgroup", "table"]),
+            COL => self.pop_to_nearest(&[COL], &[COLGROUP, TABLE]),
             _ => {}
         }
-        if closes_p(name) {
-            self.pop_to_nearest(&["p"], &["table", "td", "th", "caption"]);
+        if name.closes_p() {
+            self.pop_to_nearest(&[P], &[TABLE, TD, TH, CAPTION]);
         }
     }
 
-    /// If one of `targets` is open (searching from the top of the stack,
-    /// stopping at any of `scopes`), pop everything down to and including
-    /// the nearest target.
-    fn pop_to_nearest(&mut self, targets: &[&str], scopes: &[&str]) {
-        let mut found = None;
-        for (i, &id) in self.stack.iter().enumerate().rev() {
-            let tag = self.doc.tag_name(id).unwrap_or("");
-            if targets.contains(&tag) {
-                found = Some(i);
-                break;
-            }
-            if scopes.contains(&tag) {
-                break;
-            }
-        }
-        if let Some(i) = found {
-            self.stack.truncate(i);
+    /// If one of `targets` is open above every open element of `scopes`
+    /// (that is: searching from the top of the stack, a target comes
+    /// before any scope), pop everything down to and including the nearest
+    /// target.
+    fn pop_to_nearest(&mut self, targets: &[Atom], scopes: &[Atom]) {
+        let Some(target) = targets.iter().filter_map(|&t| self.nearest(t)).max() else {
+            return;
+        };
+        if scopes.iter().filter_map(|&s| self.nearest(s)).all(|s| s < target) {
+            self.truncate(target);
         }
     }
 
-    fn end_tag(&mut self, name: &str) {
+    fn end_tag(&mut self, name: Atom) {
         match name {
-            "html" | "body" => return, // structure is synthesised
-            "head" => {
+            HTML | BODY => return, // structure is synthesised
+            HEAD => {
                 self.head_stack = false;
-                self.stack.clear();
-                return;
-            }
-            "br" | "p" if !self.stack.iter().any(|&id| self.doc.tag_name(id) == Some(name)) => {
-                // `</p>` with no open `<p>`: browsers synthesise an empty
-                // element; for extraction purposes dropping it is enough.
+                self.truncate(0);
                 return;
             }
             _ => {}
         }
-        // Find the nearest matching open element and pop through it.
-        if let Some(i) = self.stack.iter().rposition(|&id| self.doc.tag_name(id) == Some(name)) {
-            self.stack.truncate(i);
-        }
-        // Unmatched end tags are ignored.
-        if self.stack.is_empty() && self.head_stack {
-            // Leaving a head element like </title> keeps us in head until
-            // body content arrives.
+        // Pop through the nearest matching open element. Unmatched end tags
+        // are ignored: `</p>` with no open `<p>` (browsers synthesise an
+        // empty element; for extraction purposes dropping it is enough),
+        // `</br>`, and any other stray end tag. Leaving a head element like
+        // `</title>` keeps us in head until body content arrives.
+        if let Some(i) = self.nearest(name) {
+            self.truncate(i);
         }
     }
 
     fn finish(mut self) -> Document {
         // Guarantee the html/head/body skeleton even for empty input.
         self.ensure_body();
+        for el in [self.html, self.head, self.body].into_iter().flatten() {
+            let attrs = self
+                .merged
+                .iter()
+                .filter(|m| m.el == el)
+                .map(|m| (m.name, &self.merged_values[m.value.clone()]));
+            self.doc.set_attrs_from(el, attrs);
+        }
         self.doc
     }
 }
@@ -472,6 +483,20 @@ mod tests {
         let kids: Vec<NodeId> = doc.children(p).collect();
         assert_eq!(kids.len(), 1);
         assert_eq!(doc.text(kids[0]), Some("a&b"));
+    }
+
+    #[test]
+    fn repeated_skeleton_tags_merge_attributes() {
+        let doc = parse("<html lang=en>x<body class=a>y<body class=b id=c><html dir=ltr lang=fr>z");
+        let attrs = |id| -> Vec<(&str, &str)> {
+            doc.element(id).unwrap().attrs.iter().map(|a| (a.name, a.value)).collect()
+        };
+        assert_eq!(attrs(doc.html_element().unwrap()), [("lang", "en"), ("dir", "ltr")]);
+        let body = doc.body().unwrap();
+        assert_eq!(attrs(body), [("class", "a"), ("id", "c")]);
+        let kids: Vec<NodeId> = doc.children(body).collect();
+        assert_eq!(kids.len(), 1);
+        assert_eq!(doc.text(kids[0]), Some("xyz"));
     }
 
     #[test]

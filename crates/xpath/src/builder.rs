@@ -72,13 +72,13 @@ fn steps_to(doc: &Document, target: NodeId, top: NodeId) -> Result<Vec<Step>, Bu
 
 /// The `child::…[k]` step locating `node` among its siblings.
 fn step_for(doc: &Document, node: NodeId) -> Result<Step, BuildError> {
-    match &doc.node(node).data {
-        NodeData::Element(el) => {
-            let name = el.name.clone();
+    match doc.node(node).data {
+        NodeData::Element(_) => {
+            let name = doc.tag_name(node).unwrap_or_default();
             let mut index = 1u32;
             let mut sib = doc.prev_sibling(node);
             while let Some(s) = sib {
-                if doc.tag_name(s).map(|t| t.eq_ignore_ascii_case(&name)).unwrap_or(false) {
+                if doc.tag_name(s).map(|t| t.eq_ignore_ascii_case(name)).unwrap_or(false) {
                     index += 1;
                 }
                 sib = doc.prev_sibling(s);

@@ -79,13 +79,13 @@ pub fn string_value_cow<'d>(doc: &'d Document, node: NodeRef) -> std::borrow::Co
         return doc
             .element(node.id)
             .and_then(|el| el.attrs.get(attr_idx as usize))
-            .map(|a| Cow::Borrowed(a.value.as_str()))
+            .map(|a| Cow::Borrowed(a.value))
             .unwrap_or_default();
     }
-    match &doc.node(node.id).data {
+    match doc.node(node.id).data {
         NodeData::Document | NodeData::Element(_) => Cow::Owned(doc.text_content(node.id)),
-        NodeData::Text(t) => Cow::Borrowed(t.as_str()),
-        NodeData::Comment(c) => Cow::Borrowed(c.as_str()),
+        NodeData::Text(_) => Cow::Borrowed(doc.text(node.id).unwrap_or_default()),
+        NodeData::Comment(_) => Cow::Borrowed(doc.comment(node.id).unwrap_or_default()),
         NodeData::Doctype(_) => Cow::Borrowed(""),
     }
 }
@@ -97,7 +97,7 @@ pub fn node_name(doc: &Document, node: NodeRef) -> String {
         return doc
             .element(node.id)
             .and_then(|el| el.attrs.get(attr_idx as usize))
-            .map(|a| a.name.clone())
+            .map(|a| a.name.to_string())
             .unwrap_or_default();
     }
     doc.tag_name(node.id).unwrap_or("").to_string()
