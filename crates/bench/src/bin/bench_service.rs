@@ -64,11 +64,12 @@ use retroweb_service::{Client, Server, ServerConfig};
 use retrozilla::{
     extract_cluster_parallel_compiled_to, ClusterRules, ClusterStore, CollectSink, CompiledCluster,
     ComponentName, DurableRepository, Format, MappingRule, Multiplicity, Optionality,
-    RepositorySnapshot, RepositoryStats, RuleRepository, ShardedRepository,
+    RepositorySnapshot, RepositoryStats, RuleRepository, Wal, WalOp,
 };
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Heap-tracking allocator: every live byte counted, peak retained, so
@@ -165,44 +166,51 @@ struct ChurnRun {
 }
 
 /// Apply `mutations` alternating record mutations of one cluster to a
-/// repository pre-populated with `repo_clusters` clusters, through the
-/// given durable store, and measure acknowledged mutations/s. Both
-/// modes pay a real fsync per mutation — the difference is O(change)
-/// log appends vs O(repo) snapshot rewrites.
+/// repository pre-populated with `repo_clusters` clusters and measure
+/// acknowledged mutations/s. Both modes pay a real fsync per mutation —
+/// the difference is O(change) log appends (the server's one-shard
+/// directory layout, compaction kept out of the window) vs O(repo)
+/// whole-snapshot rewrites (the pre-WAL persistence, kept here as the
+/// baseline because the library no longer ships it).
 fn churn_run(dir: &std::path::Path, repo_clusters: usize, mutations: usize, wal: bool) -> ChurnRun {
-    let base: Arc<dyn ClusterStore> = Arc::new(ShardedRepository::new(1));
+    let base = RuleRepository::new();
     for i in 0..repo_clusters {
         let mut c = cluster_from(&demo_cluster_json());
         c.cluster = format!("cluster-{i:04}");
         base.record(c);
     }
-    let snapshot = dir.join(if wal { "churn-wal.json" } else { "churn-rewrite.json" });
-    let durable = if wal {
-        let wal_path = dir.join("churn.wal");
-        let _ = std::fs::remove_file(&wal_path);
-        // Compaction stays out of the measured window (the default 1024
-        // cadence amortises it away in production too).
-        DurableRepository::attach_wal(base, snapshot.clone(), &wal_path, u64::MAX).expect("wal")
-    } else {
-        DurableRepository::full_rewrite(base, snapshot.clone())
-    };
     let v1 = cluster_from(&demo_cluster_json());
     let v2 = cluster_from(&retroweb_service::testdata::updated_cluster_json());
-    let started = Instant::now();
-    for i in 0..mutations {
-        let mut c = if i % 2 == 0 { v2.clone() } else { v1.clone() };
-        c.cluster = "cluster-0000".to_string();
-        durable.record(c).expect("durable record");
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    let bytes_written = match durable.wal_stats() {
-        Some(stats) => stats.appended_bytes,
-        None => {
-            // Full-rewrite mode rewrites the whole snapshot per mutation.
-            std::fs::metadata(&snapshot).map(|m| m.len()).unwrap_or(0) * mutations as u64
+    let timed = |mutate: &mut dyn FnMut(ClusterRules)| {
+        let started = Instant::now();
+        for i in 0..mutations {
+            let mut c = if i.is_multiple_of(2) { v2.clone() } else { v1.clone() };
+            c.cluster = "cluster-0000".to_string();
+            mutate(c);
         }
+        mutations as f64 / started.elapsed().as_secs_f64()
     };
-    ChurnRun { mutations_per_s: mutations as f64 / elapsed, bytes_written }
+    if wal {
+        let layout = dir.join("churn-wal.d");
+        let _ = std::fs::remove_dir_all(&layout);
+        // Compaction stays out of the measured window (the default 1024
+        // cadence amortises it away in production too).
+        let seed = base.snapshot();
+        let (durable, _, _) =
+            DurableRepository::open_sharded(&layout, 1, u64::MAX, Some(&seed), None, None)
+                .expect("wal");
+        let mutations_per_s = timed(&mut |c| durable.record(c).expect("durable record"));
+        let bytes_written = durable.wal_stats().expect("wal mode").appended_bytes;
+        ChurnRun { mutations_per_s, bytes_written }
+    } else {
+        let snapshot = dir.join("churn-rewrite.json");
+        let mutations_per_s = timed(&mut |c| {
+            base.record(c);
+            base.save(&snapshot).expect("snapshot rewrite");
+        });
+        let file_bytes = std::fs::metadata(&snapshot).map(|m| m.len()).unwrap_or(0);
+        ChurnRun { mutations_per_s, bytes_written: file_bytes * mutations as u64 }
+    }
 }
 
 // ---- contention scenario ---------------------------------------------------
@@ -263,6 +271,36 @@ impl ClusterStore for LockedStore {
     }
 }
 
+/// The contention baseline's persistence: the pre-sharding durability
+/// layer, kept here because the library no longer ships it. One WAL
+/// behind one mutex logs every mutation (so fsyncs never overlap), and
+/// every `compact_every` mutations the *whole* store is rewritten into
+/// one snapshot under that mutex before the log is truncated.
+struct MonolithicWal {
+    store: LockedStore,
+    log: Mutex<(Wal, u64)>,
+    snapshot: PathBuf,
+    compact_every: u64,
+}
+
+impl MonolithicWal {
+    /// Log-then-apply under the one mutex, compacting on the cadence.
+    fn record(&self, rules: ClusterRules) -> std::io::Result<()> {
+        let mut log = self.log.lock().expect("wal lock poisoned");
+        let (wal, since_compaction) = &mut *log;
+        let op = WalOp::Record(rules);
+        wal.append(&op)?;
+        op.apply(&self.store);
+        *since_compaction += 1;
+        if *since_compaction >= self.compact_every {
+            self.store.snapshot().save(&self.snapshot)?;
+            wal.truncate()?;
+            *since_compaction = 0;
+        }
+        Ok(())
+    }
+}
+
 /// Threads in the contention workload — fixed at 8 (the acceptance
 /// criterion's number), independent of host cores: lock convoys and
 /// fsync pipelining are scheduling phenomena, not parallelism ones.
@@ -315,12 +353,12 @@ struct ContentionRun {
 /// whose compactions each fold 1/32 of the data, with readers never
 /// taking a lock at all.
 fn contention_run(
-    durable: &DurableRepository,
+    store: &dyn ClusterStore,
+    record: &(dyn Fn(ClusterRules) -> std::io::Result<()> + Sync),
     names: &[String],
     duration: Duration,
 ) -> ContentionRun {
     let stop = AtomicBool::new(false);
-    let store = durable.store();
     let (ops, writes) = std::thread::scope(|scope| {
         let mut workers = Vec::new();
         for t in 0..CONTENTION_THREADS {
@@ -338,9 +376,7 @@ fn contention_run(
                         let name = &names[r % names.len()];
                         match r % 3 {
                             0 => {
-                                durable
-                                    .record(contention_cluster(name, r % 4))
-                                    .expect("durable record");
+                                record(contention_cluster(name, r % 4)).expect("durable record");
                                 writes += 1;
                             }
                             1 => {
@@ -401,21 +437,22 @@ fn contention_scenario(quick: bool) -> Json {
 
     // Baseline: monolithic RwLock store, one WAL, one persist mutex —
     // the PR-4 serving stack. Seeded in memory (its "loaded snapshot"
-    // base state) before the WAL attaches.
-    let mono_durable = {
-        let store: Arc<dyn ClusterStore> = Arc::new(LockedStore::default());
+    // base state) before the WAL opens.
+    let mono_wal = {
+        let store = LockedStore::default();
         for name in &names {
             store.record(contention_cluster(name, 0));
             store.compiled(name).expect("warm the compiled cache");
         }
-        DurableRepository::attach_wal(
+        let (wal, _) = Wal::open(&dir.join("mono.wal")).expect("mono wal");
+        MonolithicWal {
             store,
-            dir.join("mono.json"),
-            &dir.join("mono.wal"),
-            CONTENTION_COMPACT_EVERY,
-        )
-        .expect("mono wal")
+            log: Mutex::new((wal, 0)),
+            snapshot: dir.join("mono.json"),
+            compact_every: CONTENTION_COMPACT_EVERY,
+        }
     };
+    let mono_record = |rules| mono_wal.record(rules);
     // The redesign: sharded store + per-shard WAL directory. Seeded
     // through its own durable path (per-shard appends + compactions).
     let (shard_durable, sharded_store, _) = DurableRepository::open_sharded(
@@ -431,13 +468,15 @@ fn contention_scenario(quick: bool) -> Json {
         shard_durable.record(contention_cluster(name, 0)).expect("seed");
         sharded_store.compiled(name).expect("warm the compiled cache");
     }
+    let shard_record = |rules| shard_durable.record(rules);
 
     // Warm both stacks, then measure in alternating windows: fsync
     // latency on shared hosts drifts over seconds, and interleaving
     // spreads that drift evenly over both sides instead of letting it
     // bias whichever stack ran last.
-    contention_run(&mono_durable, &names, Duration::from_millis(150));
-    contention_run(&shard_durable, &names, Duration::from_millis(150));
+    let warm = Duration::from_millis(150);
+    contention_run(&mono_wal.store, &mono_record, &names, warm);
+    contention_run(sharded_store.as_ref(), &shard_record, &names, warm);
     let zero = || ContentionRun { ops_per_s: 0.0, reads: 0, writes: 0, writes_per_s: 0.0 };
     let fold = |total: ContentionRun, run: ContentionRun| ContentionRun {
         ops_per_s: total.ops_per_s + run.ops_per_s / rounds as f64,
@@ -447,10 +486,10 @@ fn contention_scenario(quick: bool) -> Json {
     };
     let (mut mono, mut shard) = (zero(), zero());
     for _ in 0..rounds {
-        mono = fold(mono, contention_run(&mono_durable, &names, window));
-        shard = fold(shard, contention_run(&shard_durable, &names, window));
+        mono = fold(mono, contention_run(&mono_wal.store, &mono_record, &names, window));
+        shard = fold(shard, contention_run(sharded_store.as_ref(), &shard_record, &names, window));
     }
-    drop(mono_durable);
+    drop(mono_wal);
     drop(shard_durable);
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -127,6 +127,6 @@ pub use sink::{
 };
 pub use store::{shard_for, ClusterStore, RepositorySnapshot, ShardedRepository};
 pub use wal::{
-    wal_info, DurableRepository, FsStep, Replay, ShardManifest, ShardedOpenReport, Wal, WalInfo,
-    WalOp, WalStats,
+    read_layout, wal_info, DurableRepository, FsStep, Replay, ShardManifest, ShardedOpenReport,
+    Wal, WalInfo, WalOp, WalStats,
 };

@@ -13,31 +13,29 @@
 //!   file is truncated to the last durable record (a crashed append can
 //!   only ever tear the tail, because every acknowledged record was
 //!   fsynced behind it);
-//! - [`DurableRepository`] glues any [`ClusterStore`] to one WAL **per
-//!   store shard** plus a base JSON *snapshot* per shard: a mutation
-//!   appends to the WAL its cluster's shard routes to (so writes to one
-//!   shard never contend with writes — or compactions — of another),
-//!   and every `compact_every` mutations per shard that shard's log is
-//!   folded into its snapshot (crash-safe atomic rename + directory
-//!   fsync) and truncated. The single-file legacy layout is simply the
-//!   one-shard case. Sharded layouts live in a directory (see
-//!   [`ShardManifest`]) and are replayed **in parallel** on open;
-//!   [`DurableRepository::open_sharded`] also migrates a legacy
-//!   single-file snapshot+log pair into the directory layout on first
-//!   contact.
+//! - [`DurableRepository`] glues a [`ShardedRepository`] to one WAL
+//!   **per store shard** plus a base JSON *snapshot* per shard, all in
+//!   one directory (see [`ShardManifest`]): a mutation appends to the
+//!   WAL its cluster's shard routes to (so writes to one shard never
+//!   contend with writes — or compactions — of another), and every
+//!   `compact_every` mutations per shard that shard's log is folded
+//!   into its snapshot (crash-safe atomic rename + directory fsync) and
+//!   truncated. The shards are replayed **in parallel** on open. The
+//!   older single-file snapshot + log pair is never served directly:
+//!   [`DurableRepository::open_sharded`] imports it into the directory
+//!   once, on first contact.
 //!
 //! ## Durability contract
 //!
 //! When [`DurableRepository::record`] or [`DurableRepository::remove`]
-//! returns `Ok`, the mutation has been fsynced to its shard's WAL (or,
-//! in full-rewrite mode, the whole snapshot has been rewritten and the
-//! rename fsynced into its directory). Re-opening the files after a
-//! crash at *any* point reproduces every acknowledged mutation: replay
-//! is idempotent (`record` is insert-or-replace, `remove` of an absent
-//! cluster is a no-op), so a crash between snapshot write and log
-//! truncation merely replays operations the snapshot already holds.
-//! Shards are independent: tearing one shard's log tail loses at most
-//! that shard's unacknowledged suffix, never another shard's records.
+//! returns `Ok`, the mutation has been fsynced to its shard's WAL.
+//! Re-opening the files after a crash at *any* point reproduces every
+//! acknowledged mutation: replay is idempotent (`record` is
+//! insert-or-replace, `remove` of an absent cluster is a no-op), so a
+//! crash between snapshot write and log truncation merely replays
+//! operations the snapshot already holds. Shards are independent:
+//! tearing one shard's log tail loses at most that shard's
+//! unacknowledged suffix, never another shard's records.
 //!
 //! ## On-disk format
 //!
@@ -547,9 +545,8 @@ impl ShardManifest {
 // ---- durable repository ----------------------------------------------------
 
 /// Point-in-time WAL counters for `/metrics` and capacity planning.
-/// In sharded mode these exist per shard; [`DurableRepository::wal_stats`]
-/// returns the sum and [`DurableRepository::shard_wal_stats`] the
-/// breakdown.
+/// These exist per shard; [`DurableRepository::wal_stats`] returns the
+/// sum and [`DurableRepository::shard_wal_stats`] the breakdown.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalStats {
     /// Records appended since open.
@@ -582,21 +579,14 @@ impl WalStats {
     }
 }
 
-/// What a shard's compaction snapshots: the whole store (legacy
-/// single-file layout) or just the clusters routed to one shard.
-#[derive(Clone, Copy, Debug)]
-enum SnapshotScope {
-    Whole,
-    Shard(usize),
-}
-
-/// One write-ahead log plus its base snapshot and counters. Guarded by
-/// its own mutex inside [`Persist::Wal`], so appends (and compactions)
-/// for different shards never serialise on each other.
+/// One shard's write-ahead log plus its base snapshot and counters.
+/// Guarded by its own mutex inside [`Persist::Wal`], so appends (and
+/// compactions) for different shards never serialise on each other.
 struct WalShard {
+    /// The store shard whose clusters this log and snapshot hold.
+    index: usize,
     snapshot: PathBuf,
     wal: Wal,
-    scope: SnapshotScope,
     compact_every: u64,
     stats: WalStats,
 }
@@ -605,12 +595,8 @@ struct WalShard {
 enum Persist {
     /// Nothing on disk (tests, ad-hoc in-memory serving).
     Ephemeral,
-    /// Legacy whole-file rewrite per mutation: O(repo) but simple. One
-    /// mutex — this mode exists for comparison, not concurrency.
-    FullRewrite { snapshot: PathBuf, lock: Mutex<()> },
     /// WAL append per mutation, folded into the shard's snapshot every
-    /// `compact_every` mutations: O(change). One entry per store shard
-    /// (a single entry is the legacy single-file layout).
+    /// `compact_every` mutations: O(change). One entry per store shard.
     Wal { shards: Vec<Mutex<WalShard>> },
 }
 
@@ -636,8 +622,8 @@ impl std::fmt::Debug for DurableRepository {
 pub struct ShardedOpenReport {
     /// Effective shard count (the manifest's, once one exists).
     pub shards: usize,
-    /// Clusters carried over from the legacy single-file layout, when
-    /// this open performed that migration.
+    /// Clusters the directory was initialised with (seed plus the
+    /// imported single-file pair), when this open created the layout.
     pub migrated_clusters: Option<usize>,
     /// True when an existing manifest's shard count overrode the
     /// requested one.
@@ -650,75 +636,7 @@ impl DurableRepository {
         DurableRepository { store, persist: Persist::Ephemeral }
     }
 
-    /// Legacy mode: every mutation rewrites the whole snapshot (atomic
-    /// rename + directory fsync). Kept for comparison benchmarks and as
-    /// an explicit opt-out of the WAL.
-    pub fn full_rewrite(store: Arc<dyn ClusterStore>, snapshot: PathBuf) -> DurableRepository {
-        DurableRepository {
-            store,
-            persist: Persist::FullRewrite { snapshot, lock: Mutex::new(()) },
-        }
-    }
-
-    /// Single-WAL mode over an already-loaded base state: replay any
-    /// existing log at `wal_path` on top of `store` (recovering a torn
-    /// tail), and log every future mutation there, compacting the whole
-    /// store into `snapshot` every `compact_every` mutations.
-    ///
-    /// `store` must hold the state loaded from `snapshot` (or be empty
-    /// when the snapshot doesn't exist yet) — replay assumes the log
-    /// extends exactly that base. The store may be sharded in memory;
-    /// with one WAL all mutations still serialise on its mutex.
-    pub fn attach_wal(
-        store: Arc<dyn ClusterStore>,
-        snapshot: PathBuf,
-        wal_path: &Path,
-        compact_every: u64,
-    ) -> std::io::Result<DurableRepository> {
-        let (wal, replayed) = Wal::open(wal_path)?;
-        for op in &replayed.ops {
-            op.apply(store.as_ref());
-        }
-        let stats = WalStats {
-            replayed_records: replayed.ops.len() as u64,
-            replay_torn_bytes: replayed.torn_bytes,
-            wal_bytes: wal.len(),
-            since_compaction: replayed.ops.len() as u64,
-            ..WalStats::default()
-        };
-        Ok(DurableRepository {
-            store,
-            persist: Persist::Wal {
-                shards: vec![Mutex::new(WalShard {
-                    snapshot,
-                    wal,
-                    scope: SnapshotScope::Whole,
-                    compact_every: compact_every.max(1),
-                    stats,
-                })],
-            },
-        })
-    }
-
-    /// Open the legacy single-file snapshot + WAL pair from disk: load
-    /// `snapshot` (absent = empty) into a default [`ShardedRepository`],
-    /// replay the log over it. The single-file server startup path.
-    pub fn open_wal(
-        snapshot: PathBuf,
-        wal_path: &Path,
-        compact_every: u64,
-    ) -> Result<DurableRepository, RepositoryError> {
-        let store = ShardedRepository::default();
-        if snapshot.exists() {
-            for (_, rules) in RuleRepository::load(&snapshot)?.snapshot().iter() {
-                store.record(rules.clone());
-            }
-        }
-        DurableRepository::attach_wal(Arc::new(store), snapshot, wal_path, compact_every)
-            .map_err(|e| RepositoryError::io(&format!("cannot open WAL: {e}"), wal_path))
-    }
-
-    /// Open (creating or migrating if needed) a **sharded** repository
+    /// Open (creating or importing if needed) a sharded repository
     /// directory: one snapshot + WAL pair per shard, all replayed in
     /// parallel, per-shard compaction from then on.
     ///
@@ -727,17 +645,18 @@ impl DurableRepository {
     ///   [`ShardedOpenReport::adopted_manifest_shards`] set — resharding
     ///   an existing layout is a ROADMAP follow-up);
     /// - without a manifest, the initial state — optional `seed`
-    ///   clusters, overlaid by a legacy single-file pair
-    ///   (`legacy_snapshot` + `legacy_wal`, both optional, which win
-    ///   over the seed like a loaded snapshot wins over a bind seed) —
-    ///   is partitioned into per-shard snapshot files, then the
-    ///   manifest is written as the commit point. The legacy files are
-    ///   left untouched (they are superseded; delete them once
-    ///   satisfied). A crash at *any* point before the manifest leaves
-    ///   no manifest, so the next open redoes the whole
-    ///   initialisation — seed included — from the still-intact
-    ///   sources; once a manifest exists, the layout's own history is
-    ///   authoritative and the seed is ignored.
+    ///   clusters, overlaid by a single-file pair (`legacy_snapshot` +
+    ///   `legacy_wal`, both optional, which win over the seed like a
+    ///   loaded snapshot wins over a bind seed) — is partitioned into
+    ///   per-shard snapshot files, then the manifest is written as the
+    ///   commit point. This import is the only path that reads a
+    ///   single-file pair for serving. The legacy files are left
+    ///   untouched (they are superseded; delete them once satisfied). A
+    ///   crash at *any* point before the manifest leaves no manifest, so
+    ///   the next open redoes the whole initialisation — seed included —
+    ///   from the still-intact sources; once a manifest exists, the
+    ///   layout's own history is authoritative and the seed and the
+    ///   legacy pair are ignored.
     pub fn open_sharded(
         dir: &Path,
         requested_shards: usize,
@@ -818,23 +737,7 @@ impl DurableRepository {
                 scratch.record(rules.clone());
             }
         }
-        if let Some(path) = legacy_snapshot.filter(|p| p.exists()) {
-            // The legacy pair wins over the seed, exactly as a loaded
-            // snapshot wins over a bind seed.
-            for (_, rules) in RuleRepository::load(path)?.snapshot().iter() {
-                scratch.record(rules.clone());
-            }
-        }
-        if let Some(wal_path) = legacy_wal {
-            // Read-only replay: the legacy log is left byte-identical in
-            // case the operator needs to roll back to single-file mode.
-            let replayed = replay(wal_path).map_err(|e| {
-                RepositoryError::io(&format!("cannot replay legacy WAL: {e}"), wal_path)
-            })?;
-            for op in &replayed.ops {
-                op.apply(&scratch);
-            }
-        }
+        import_legacy(&scratch, legacy_snapshot, legacy_wal)?;
         for i in 0..shards {
             let part = scratch.shard_snapshot(i);
             if part.is_empty() {
@@ -855,44 +758,11 @@ impl DurableRepository {
         store: &ShardedRepository,
         compact_every: u64,
     ) -> Result<WalShard, RepositoryError> {
-        let snapshot_path = ShardManifest::snapshot_path(dir, shard);
-        if snapshot_path.exists() {
-            for (name, rules) in RuleRepository::load(&snapshot_path)?.snapshot().iter() {
-                // A cluster in the wrong shard file means the routing
-                // hash changed or the file was hand-edited; loading it
-                // anyway would strand it where no mutation can reach.
-                if store.shard_of(name) != shard {
-                    return Err(RepositoryError::io(
-                        &format!(
-                            "cluster '{name}' does not route to shard {shard}; \
-                             the shard layout is corrupt"
-                        ),
-                        &snapshot_path,
-                    ));
-                }
-                store.record(rules.clone());
-            }
-        }
+        let snapshot = load_shard_snapshot(dir, shard, store)?;
         let wal_path = ShardManifest::wal_path(dir, shard);
         let (wal, replayed) = Wal::open(&wal_path)
             .map_err(|e| RepositoryError::io(&format!("cannot open shard WAL: {e}"), &wal_path))?;
-        for op in &replayed.ops {
-            // Same corruption class the snapshot check rejects: a
-            // record for a cluster that routes elsewhere would be
-            // absorbed into a foreign shard racily during parallel
-            // replay and then diverge across compactions.
-            if store.shard_of(op.cluster()) != shard {
-                return Err(RepositoryError::io(
-                    &format!(
-                        "WAL record for cluster '{}' does not route to shard {shard}; \
-                         the shard layout is corrupt",
-                        op.cluster()
-                    ),
-                    &wal_path,
-                ));
-            }
-            op.apply(store);
-        }
+        apply_shard_ops(&replayed.ops, shard, store, &wal_path)?;
         let stats = WalStats {
             replayed_records: replayed.ops.len() as u64,
             replay_torn_bytes: replayed.torn_bytes,
@@ -900,13 +770,7 @@ impl DurableRepository {
             since_compaction: replayed.ops.len() as u64,
             ..WalStats::default()
         };
-        Ok(WalShard {
-            snapshot: snapshot_path,
-            wal,
-            scope: SnapshotScope::Shard(shard),
-            compact_every: compact_every.max(1),
-            stats,
-        })
+        Ok(WalShard { index: shard, snapshot, wal, compact_every: compact_every.max(1), stats })
     }
 
     /// The in-memory store — all reads (and extraction) go here.
@@ -915,7 +779,7 @@ impl DurableRepository {
     }
 
     /// Insert-or-replace a cluster durably. On `Ok`, the mutation is
-    /// fsynced (WAL append or full rewrite) *and* applied in memory.
+    /// fsynced to its shard's WAL *and* applied in memory.
     pub fn record(&self, rules: ClusterRules) -> std::io::Result<()> {
         self.mutate(WalOp::Record(rules))
     }
@@ -925,21 +789,9 @@ impl DurableRepository {
     pub fn remove(&self, cluster: &str) -> std::io::Result<bool> {
         match &self.persist {
             Persist::Ephemeral => Ok(self.store.remove(cluster)),
-            Persist::FullRewrite { snapshot, lock } => {
-                // Check-and-log under one lock acquisition, so two
-                // racing removes of the same cluster log exactly once.
-                let _guard = lock.lock().expect("persist lock poisoned");
-                if self.store.get(cluster).is_none() {
-                    return Ok(false);
-                }
-                Self::rewrite_locked(
-                    self.store.as_ref(),
-                    snapshot,
-                    WalOp::Remove(cluster.to_string()),
-                )?;
-                Ok(true)
-            }
             Persist::Wal { shards } => {
+                // Check-and-log under the shard lock, so two racing
+                // removes of the same cluster log exactly once.
                 let mut shard = self.wal_shard(shards, cluster);
                 if self.store.get(cluster).is_none() {
                     return Ok(false);
@@ -962,8 +814,7 @@ impl DurableRepository {
         shards: &'a [Mutex<WalShard>],
         cluster: &str,
     ) -> MutexGuard<'a, WalShard> {
-        let index = if shards.len() == 1 { 0 } else { self.store.shard_of(cluster) };
-        shards[index].lock().expect("wal shard lock poisoned")
+        shards[self.store.shard_of(cluster)].lock().expect("wal shard lock poisoned")
     }
 
     /// Log-then-apply under the target shard's lock: per-shard WAL
@@ -976,37 +827,11 @@ impl DurableRepository {
                 op.apply(self.store.as_ref());
                 Ok(())
             }
-            Persist::FullRewrite { snapshot, lock } => {
-                let _guard = lock.lock().expect("persist lock poisoned");
-                Self::rewrite_locked(self.store.as_ref(), snapshot, op)
-            }
             Persist::Wal { shards } => {
                 let mut shard = self.wal_shard(shards, op.cluster());
                 Self::wal_mutate_locked(self.store.as_ref(), &mut shard, op)
             }
         }
-    }
-
-    /// Full-rewrite mutation: apply, rewrite the whole file from the
-    /// new state, and on a failed save roll the in-memory apply back —
-    /// so this mode honours the same contract as the WAL path: an
-    /// errored mutation leaves the old rules live, in memory and on
-    /// disk. (Readers may glimpse the new rules during the save window;
-    /// they can never keep serving rules the caller was told failed.)
-    fn rewrite_locked(store: &dyn ClusterStore, snapshot: &Path, op: WalOp) -> std::io::Result<()> {
-        let undo_key = op.cluster().to_string();
-        let undo = store.get(&undo_key);
-        op.apply(store);
-        if let Err(e) = store.save(snapshot) {
-            match undo {
-                Some(prev) => store.record(prev),
-                None => {
-                    store.remove(&undo_key);
-                }
-            }
-            return Err(e);
-        }
-        Ok(())
     }
 
     fn wal_mutate_locked(
@@ -1044,14 +869,11 @@ impl DurableRepository {
     /// directory entry) must be durable before the records it absorbs
     /// are dropped from the log. A crash in between replays ops the
     /// snapshot already holds — harmless, because replay is idempotent.
-    /// Sharded scope snapshots only this shard's clusters, so one
-    /// shard's compaction never reads (let alone rewrites) the others.
+    /// The snapshot holds only this shard's clusters, so one shard's
+    /// compaction never reads (let alone rewrites) the others.
     fn compact_locked(store: &dyn ClusterStore, shard: &mut WalShard) -> std::io::Result<()> {
-        let snapshot = match shard.scope {
-            SnapshotScope::Whole => store.snapshot(),
-            SnapshotScope::Shard(i) => store.shard_snapshot(i),
-        };
-        snapshot.save(&shard.snapshot)?; // atomic rename + directory fsync
+        // Atomic rename + directory fsync.
+        store.shard_snapshot(shard.index).save(&shard.snapshot)?;
         shard.wal.truncate()?;
         shard.stats.compactions += 1;
         shard.stats.since_compaction = 0;
@@ -1072,7 +894,6 @@ impl DurableRepository {
     }
 
     /// Per-shard WAL counters in shard order, `None` outside WAL mode.
-    /// Single-WAL mode reports one entry.
     pub fn shard_wal_stats(&self) -> Option<Vec<WalStats>> {
         match &self.persist {
             Persist::Wal { shards } => Some(
@@ -1094,6 +915,114 @@ impl RepositoryError {
             xpath: None,
         }
     }
+}
+
+/// The repository [`DurableRepository::open_sharded`] of `dir` would
+/// serve without a seed, read **without writing anything**: the
+/// directory's shard snapshots with each shard's log replayed over
+/// them, or — before the directory has a manifest — the single-file
+/// pair that the first open would import. No torn tail is truncated
+/// and no file or directory is created, so this is safe against a live
+/// server's files; `retrozilla-serve --lint` audits what it returns.
+pub fn read_layout(
+    dir: &Path,
+    legacy_snapshot: Option<&Path>,
+    legacy_wal: Option<&Path>,
+) -> Result<ShardedRepository, RepositoryError> {
+    let Some(manifest) = ShardManifest::load(dir)? else {
+        let store = ShardedRepository::default();
+        import_legacy(&store, legacy_snapshot, legacy_wal)?;
+        return Ok(store);
+    };
+    let store = ShardedRepository::new(manifest.shards);
+    for shard in 0..manifest.shards {
+        load_shard_snapshot(dir, shard, &store)?;
+        let wal_path = ShardManifest::wal_path(dir, shard);
+        let replayed = replay(&wal_path).map_err(|e| {
+            RepositoryError::io(&format!("cannot replay shard WAL: {e}"), &wal_path)
+        })?;
+        apply_shard_ops(&replayed.ops, shard, &store, &wal_path)?;
+    }
+    Ok(store)
+}
+
+/// Overlay a single-file pair onto `store`: the snapshot (absent =
+/// nothing), then a read-only replay of the log. The legacy files are
+/// left byte-identical.
+fn import_legacy(
+    store: &ShardedRepository,
+    legacy_snapshot: Option<&Path>,
+    legacy_wal: Option<&Path>,
+) -> Result<(), RepositoryError> {
+    if let Some(path) = legacy_snapshot.filter(|p| p.exists()) {
+        for (_, rules) in RuleRepository::load(path)?.snapshot().iter() {
+            store.record(rules.clone());
+        }
+    }
+    if let Some(wal_path) = legacy_wal {
+        let replayed = replay(wal_path).map_err(|e| {
+            RepositoryError::io(&format!("cannot replay legacy WAL: {e}"), wal_path)
+        })?;
+        for op in &replayed.ops {
+            op.apply(store);
+        }
+    }
+    Ok(())
+}
+
+/// Load shard `shard`'s snapshot file (absent = empty) into `store`;
+/// returns the file's path.
+fn load_shard_snapshot(
+    dir: &Path,
+    shard: usize,
+    store: &ShardedRepository,
+) -> Result<PathBuf, RepositoryError> {
+    let path = ShardManifest::snapshot_path(dir, shard);
+    if path.exists() {
+        for (name, rules) in RuleRepository::load(&path)?.snapshot().iter() {
+            // A cluster in the wrong shard file means the routing hash
+            // changed or the file was hand-edited; loading it anyway
+            // would strand it where no mutation can reach.
+            if store.shard_of(name) != shard {
+                return Err(RepositoryError::io(
+                    &format!(
+                        "cluster '{name}' does not route to shard {shard}; \
+                         the shard layout is corrupt"
+                    ),
+                    &path,
+                ));
+            }
+            store.record(rules.clone());
+        }
+    }
+    Ok(path)
+}
+
+/// Apply shard `shard`'s replayed log records to `store`.
+fn apply_shard_ops(
+    ops: &[WalOp],
+    shard: usize,
+    store: &ShardedRepository,
+    wal_path: &Path,
+) -> Result<(), RepositoryError> {
+    for op in ops {
+        // Same corruption class the snapshot check rejects: a record
+        // for a cluster that routes elsewhere would be absorbed into a
+        // foreign shard racily during parallel replay and then diverge
+        // across compactions.
+        if store.shard_of(op.cluster()) != shard {
+            return Err(RepositoryError::io(
+                &format!(
+                    "WAL record for cluster '{}' does not route to shard {shard}; \
+                     the shard layout is corrupt",
+                    op.cluster()
+                ),
+                wal_path,
+            ));
+        }
+        op.apply(store);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1221,13 +1150,18 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A one-shard layout in `dir`: its snapshot and log are
+    /// `shard-000.json` and `shard-000.wal`.
+    fn open_one_shard(dir: &Path, compact_every: u64) -> DurableRepository {
+        DurableRepository::open_sharded(dir, 1, compact_every, None, None, None).unwrap().0
+    }
+
     #[test]
     fn durable_repository_replays_after_reopen() {
         let dir = temp_dir("durable");
-        let snapshot = dir.join("rules.json");
-        let wal = dir.join("rules.wal");
+        let snapshot = ShardManifest::snapshot_path(&dir, 0);
         {
-            let repo = DurableRepository::open_wal(snapshot.clone(), &wal, 1_000).unwrap();
+            let repo = open_one_shard(&dir, 1_000);
             repo.record(cluster("a", 2)).unwrap();
             repo.record(cluster("b", 1)).unwrap();
             assert!(repo.remove("a").unwrap());
@@ -1238,7 +1172,7 @@ mod tests {
             // No compaction yet: the snapshot file does not even exist.
             assert!(!snapshot.exists());
         } // dropped without compaction — simulated crash
-        let repo = DurableRepository::open_wal(snapshot.clone(), &wal, 1_000).unwrap();
+        let repo = open_one_shard(&dir, 1_000);
         assert_eq!(repo.store().cluster_names(), vec!["b"]);
         assert_eq!(repo.wal_stats().unwrap().replayed_records, 3);
         std::fs::remove_dir_all(&dir).ok();
@@ -1247,10 +1181,10 @@ mod tests {
     #[test]
     fn compaction_folds_log_into_snapshot() {
         let dir = temp_dir("compact");
-        let snapshot = dir.join("rules.json");
-        let wal = dir.join("rules.wal");
+        let snapshot = ShardManifest::snapshot_path(&dir, 0);
+        let wal = ShardManifest::wal_path(&dir, 0);
         {
-            let repo = DurableRepository::open_wal(snapshot.clone(), &wal, 2).unwrap();
+            let repo = open_one_shard(&dir, 2);
             repo.record(cluster("a", 1)).unwrap();
             assert!(repo.wal_stats().unwrap().compactions == 0);
             repo.record(cluster("b", 1)).unwrap(); // second mutation triggers compaction
@@ -1264,7 +1198,7 @@ mod tests {
         assert_eq!(on_disk.cluster_names(), vec!["a", "b"]);
         assert_eq!(std::fs::read(&wal).unwrap(), WAL_MAGIC);
         // Reopen: replay is a no-op over the compacted snapshot.
-        let repo = DurableRepository::open_wal(snapshot.clone(), &wal, 2).unwrap();
+        let repo = open_one_shard(&dir, 2);
         assert_eq!(repo.store().cluster_names(), vec!["a", "b"]);
         assert_eq!(repo.wal_stats().unwrap().replayed_records, 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -1273,36 +1207,19 @@ mod tests {
     #[test]
     fn crash_between_snapshot_and_truncate_is_idempotent() {
         let dir = temp_dir("idem");
-        let snapshot = dir.join("rules.json");
-        let wal = dir.join("rules.wal");
         {
-            let repo = DurableRepository::open_wal(snapshot.clone(), &wal, 1_000).unwrap();
+            let repo = open_one_shard(&dir, 1_000);
             repo.record(cluster("a", 1)).unwrap();
             repo.record(cluster("b", 2)).unwrap();
             // Simulate the crash window: snapshot written, log NOT yet
             // truncated.
-            repo.store().save(&snapshot).unwrap();
+            repo.store().save(&ShardManifest::snapshot_path(&dir, 0)).unwrap();
         }
         // Replay re-applies ops the snapshot already holds — same state.
-        let repo = DurableRepository::open_wal(snapshot.clone(), &wal, 1_000).unwrap();
+        let repo = open_one_shard(&dir, 1_000);
         assert_eq!(repo.store().cluster_names(), vec!["a", "b"]);
         assert_eq!(repo.store().get("b"), Some(cluster("b", 2)));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn full_rewrite_mode_matches_pre_wal_behaviour() {
-        let dir = temp_dir("rewrite");
-        let snapshot = dir.join("rules.json");
-        let repo = DurableRepository::full_rewrite(
-            Arc::new(ShardedRepository::default()),
-            snapshot.clone(),
-        );
-        repo.record(cluster("a", 1)).unwrap();
-        assert_eq!(RuleRepository::load(&snapshot).unwrap().cluster_names(), vec!["a"]);
-        assert!(repo.remove("a").unwrap());
-        assert!(RuleRepository::load(&snapshot).unwrap().is_empty());
-        assert!(repo.wal_stats().is_none());
+        assert_eq!(repo.wal_stats().unwrap().replayed_records, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1427,10 +1344,9 @@ mod tests {
             repo.record(cluster("alpha", 1));
             repo.record(cluster("beta", 2));
             repo.save(&legacy_snapshot).unwrap();
-            let durable =
-                DurableRepository::open_wal(legacy_snapshot.clone(), &legacy_wal, 1_000).unwrap();
-            durable.record(cluster("gamma", 1)).unwrap(); // log-only
-            durable.record(cluster("beta", 3)).unwrap(); // log-only replace
+            let (mut wal, _) = Wal::open(&legacy_wal).unwrap();
+            wal.append(&WalOp::Record(cluster("gamma", 1))).unwrap(); // log-only
+            wal.append(&WalOp::Record(cluster("beta", 3))).unwrap(); // log-only replace
         }
         let legacy_wal_bytes = std::fs::read(&legacy_wal).unwrap();
         let shard_dir = dir.join("rules.d");
@@ -1474,6 +1390,45 @@ mod tests {
         assert_eq!(report.migrated_clusters, None);
         assert_eq!(store.len(), 4);
         assert!(store.get("delta").is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_layout_sees_what_open_serves_and_writes_nothing() {
+        let dir = temp_dir("readlayout");
+        let legacy_snapshot = dir.join("rules.json");
+        let legacy_wal = dir.join("rules.json.wal");
+        RuleRepository::new().save(&legacy_snapshot).unwrap();
+        let (mut wal, _) = Wal::open(&legacy_wal).unwrap();
+        wal.append(&WalOp::Record(cluster("alpha", 1))).unwrap(); // log-only
+        drop(wal);
+        let legacy = (Some(legacy_snapshot.as_path()), Some(legacy_wal.as_path()));
+        // Before the first open: the pair the open would import, and
+        // no directory is created.
+        let shard_dir = dir.join("rules.d");
+        let read = read_layout(&shard_dir, legacy.0, legacy.1).unwrap();
+        assert_eq!(read.cluster_names(), vec!["alpha"]);
+        assert!(!shard_dir.exists());
+        // After it: the shard snapshots plus every shard's log tail,
+        // with the legacy pair ignored.
+        let (durable, _, _) =
+            DurableRepository::open_sharded(&shard_dir, 4, 1_000, None, legacy.0, legacy.1)
+                .unwrap();
+        durable.record(cluster("beta", 2)).unwrap(); // log-only
+        assert!(durable.remove("alpha").unwrap());
+        drop(durable);
+        let torn = ShardManifest::wal_path(&shard_dir, shard_for("beta", 4));
+        let mut bytes = std::fs::read(&torn).unwrap();
+        bytes.extend_from_slice(&[1, 2, 3]);
+        std::fs::write(&torn, &bytes).unwrap();
+        let read = read_layout(&shard_dir, legacy.0, legacy.1).unwrap();
+        assert_eq!(read.cluster_names(), vec!["beta"]);
+        assert_eq!(read.get("beta"), Some(cluster("beta", 2)));
+        assert_eq!(std::fs::read(&torn).unwrap(), bytes, "a torn tail must not be truncated");
+        let (_, opened, _) =
+            DurableRepository::open_sharded(&shard_dir, 4, 1_000, None, legacy.0, legacy.1)
+                .unwrap();
+        assert_eq!(opened.snapshot().to_json(), read.snapshot().to_json());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,21 +1,18 @@
-//! Crash-recovery property suite for the rule-mutation WAL.
+//! Crash-recovery property suite for the rule-mutation WAL file format.
 //!
-//! Two families of properties:
+//! **Torn-tail recovery**: truncating a log at an arbitrary byte offset,
+//! or flipping an arbitrary byte, never panics and always recovers
+//! exactly the longest prefix of intact records (a flip inside record
+//! *i* loses records *i*… — truncate-at-first-bad — and a flip inside
+//! the magic recovers the empty log).
 //!
-//! 1. **Replay fidelity** — any random mutation sequence applied through
-//!    a [`DurableRepository`] (at any compaction cadence, including
-//!    "crashing" before compaction) reproduces the in-memory model
-//!    exactly when the snapshot + log are reopened.
-//! 2. **Torn-tail recovery** — truncating the log at an arbitrary byte
-//!    offset, or flipping an arbitrary byte, never panics and always
-//!    recovers exactly the longest prefix of intact records (a flip
-//!    inside record *i* loses records *i*… — truncate-at-first-bad —
-//!    and a flip inside the magic recovers the empty log).
+//! Replay fidelity of the durable repository itself (random mutation
+//! sequences, crashes and compactions against an in-memory model) is
+//! held by `store_proptests::sharded_durable_replay_reproduces_model`.
 
 use proptest::prelude::*;
 use retrozilla::wal::{replay, Wal, WalOp, WAL_MAGIC};
-use retrozilla::{ClusterRules, DurableRepository};
-use std::collections::BTreeMap;
+use retrozilla::ClusterRules;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -65,26 +62,6 @@ fn arb_ops() -> impl Strategy<Value = Vec<WalOp>> {
     prop::collection::vec(op, 0..24)
 }
 
-/// The in-memory model: the map a perfect store would hold after `ops`.
-fn model_after(ops: &[WalOp]) -> BTreeMap<String, ClusterRules> {
-    let mut model = BTreeMap::new();
-    for op in ops {
-        match op {
-            WalOp::Record(c) => {
-                model.insert(c.cluster.clone(), c.clone());
-            }
-            WalOp::Remove(name) => {
-                model.remove(name);
-            }
-        }
-    }
-    model
-}
-
-fn repo_as_map(repo: &dyn retrozilla::ClusterStore) -> BTreeMap<String, ClusterRules> {
-    repo.cluster_names().into_iter().map(|n| (n.clone(), repo.get(&n).unwrap())).collect()
-}
-
 /// Byte offsets where each record ends (magic counts as boundary 0's
 /// end), so corruption offsets can be mapped to expected prefixes.
 fn record_boundaries(ops: &[WalOp], dir: &std::path::Path) -> (Vec<u8>, Vec<usize>) {
@@ -102,50 +79,6 @@ fn record_boundaries(ops: &[WalOp], dir: &std::path::Path) -> (Vec<u8>, Vec<usiz
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    // Snapshot + replay ≡ in-memory state, at any compaction cadence
-    // and with a "crash" (drop without compaction) in the middle.
-    #[test]
-    fn replay_reproduces_model(
-        ops in arb_ops(),
-        compact_every in 1u64..8,
-        split in 0usize..24,
-    ) {
-        let dir = scratch_dir("model");
-        let snapshot = dir.join("rules.json");
-        let wal = dir.join("rules.wal");
-        let split = split.min(ops.len());
-        {
-            let repo = DurableRepository::open_wal(snapshot.clone(), &wal, compact_every).unwrap();
-            for op in &ops[..split] {
-                match op {
-                    WalOp::Record(c) => repo.record(c.clone()).unwrap(),
-                    WalOp::Remove(name) => { repo.remove(name).unwrap(); }
-                }
-            }
-        } // crash: dropped wherever the compaction cycle happened to be
-        {
-            let repo = DurableRepository::open_wal(snapshot.clone(), &wal, compact_every).unwrap();
-            prop_assert_eq!(repo_as_map(repo.store().as_ref()), model_after(&ops[..split]));
-            // Second lifetime applies the rest.
-            for op in &ops[split..] {
-                match op {
-                    WalOp::Record(c) => repo.record(c.clone()).unwrap(),
-                    WalOp::Remove(name) => { repo.remove(name).unwrap(); }
-                }
-            }
-        }
-        let repo = DurableRepository::open_wal(snapshot.clone(), &wal, compact_every).unwrap();
-        prop_assert_eq!(repo_as_map(repo.store().as_ref()), model_after(&ops));
-        // An explicit compaction folds everything into the snapshot and
-        // changes nothing observable.
-        repo.compact().unwrap();
-        drop(repo);
-        let repo = DurableRepository::open_wal(snapshot, &wal, compact_every).unwrap();
-        prop_assert_eq!(repo_as_map(repo.store().as_ref()), model_after(&ops));
-        prop_assert_eq!(repo.wal_stats().unwrap().replayed_records, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     // Truncating the log at an arbitrary offset recovers exactly the
     // records that are fully below the cut. Never panics.

@@ -3,8 +3,8 @@
 //! ```text
 //! retrozilla-serve [--addr 127.0.0.1:7878] [--threads N] [--queue N]
 //!                  [--extract-threads N] [--repo rules.json]
-//!                  [--wal FILE.wal] [--compact-every N] [--no-wal]
-//!                  [--shards N] [--evented] [--max-conns N]
+//!                  [--compact-every N] [--shards N] [--evented]
+//!                  [--max-conns N]
 //!                  [--header-timeout-ms N] [--idle-timeout-ms N]
 //!                  [--write-stall-timeout-ms N] [--stream-budget BYTES]
 //!                  [--strict-lint] [--lint] [--wal-info] [--self-test]
@@ -19,21 +19,19 @@
 //! connections idle past `--idle-timeout-ms`, and drops clients that
 //! stop draining a response for `--write-stall-timeout-ms`.
 //!
-//! With `--repo`, the snapshot is loaded at startup (an absent file
-//! starts empty), any existing write-ahead log (`<repo>.wal`, or
-//! `--wal PATH`) is **replayed over it** — recovering mutations
-//! acknowledged after the last compaction — and every
-//! `PUT`/`DELETE /clusters` becomes one fsynced O(change) log append.
-//! The log folds into the snapshot every `--compact-every` mutations
-//! (default 1024). `--no-wal` restores the legacy whole-file rewrite
-//! per mutation.
-//!
-//! `--shards N` switches persistence to the **sharded directory
-//! layout** `<repo>.d/` — one snapshot + WAL pair per shard of the
-//! in-memory store, replayed in parallel at startup and compacted
-//! independently. An existing single-file pair is migrated in on first
-//! start (and left in place, superseded). An existing directory's
-//! `manifest.json` fixes the shard count.
+//! With `--repo rules.json`, the repository lives in the directory
+//! `rules.json.d/` — one snapshot + write-ahead log pair per shard of
+//! the in-memory store. Startup replays every shard's log over its
+//! snapshot, in parallel, recovering mutations acknowledged after the
+//! last compaction; every `PUT`/`DELETE /clusters` is one fsynced
+//! O(change) append to the log of the shard its cluster routes to, and
+//! each shard folds its log into its snapshot every `--compact-every`
+//! of its mutations (default 1024). On the first start, when the
+//! directory does not exist yet, a single-file `rules.json` +
+//! `rules.json.wal` pair is imported into it (and left in place, no
+//! longer read). `--shards N` sets the shard count a new directory is
+//! created with; an existing directory's `manifest.json` fixes its
+//! own.
 //!
 //! `--strict-lint` makes `PUT /clusters/{name}` reject rule sets whose
 //! XPaths carry error-level linter findings (provably-empty paths,
@@ -41,33 +39,33 @@
 //! diagnostics; without it the findings ride along in the success body
 //! and on `GET /metrics`.
 //!
-//! `--lint` is the offline audit mode: load the repository addressed by
-//! `--repo` (or the built-in demo repository without one), print every
-//! linter finding, and exit non-zero iff any error-level finding
-//! exists — no server is started, so CI can gate rule repositories on
-//! it directly.
+//! `--lint` is the offline audit mode: read the repository a server
+//! started with the same `--repo` would serve (or the built-in demo
+//! repository without one), print every linter finding, and exit
+//! non-zero iff any error-level finding exists — no server is started
+//! and no file is written, so CI can gate rule repositories on it
+//! directly.
 //!
 //! `--wal-info` prints replay statistics (records, torn bytes, last
-//! intact offset) for every WAL the current flags address — per shard
-//! in the directory layout — **without starting the server and without
-//! mutating any file**: the first step toward point-in-time recovery
-//! tooling.
+//! intact offset) for every shard log of the `--repo` directory — or,
+//! before the first start, for the single-file log that start would
+//! import — **without starting the server and without mutating any
+//! file**: the first step toward point-in-time recovery tooling.
 //!
 //! `--self-test` runs a loopback smoke test — record → extract → batch
-//! → drift-check → hot-reload → percent-decoding → metrics, plus WAL
-//! replay-on-startup exercises for both the single-file and the
-//! sharded layout — and exits non-zero on any mismatch; CI uses it as
-//! the serve-layer gate.
+//! → drift-check → hot-reload → percent-decoding → metrics, plus a
+//! single-file import followed by a directory replay on restart — and
+//! exits non-zero on any mismatch; CI uses it as the serve-layer gate.
 
 use retroweb_service::testdata;
 use retroweb_service::{request_once, Client, Server, ServerConfig};
-use retrozilla::{wal_info, RuleRepository, ShardManifest};
+use retrozilla::{read_layout, wal_info, ClusterStore, RuleRepository, ShardManifest, Wal, WalOp};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: retrozilla-serve [--addr HOST:PORT] [--threads N] [--queue N] \
-                     [--extract-threads N] [--repo FILE.json] [--wal FILE.wal] \
-                     [--compact-every N] [--no-wal] [--shards N] [--evented] [--max-conns N] \
+                     [--extract-threads N] [--repo FILE.json] \
+                     [--compact-every N] [--shards N] [--evented] [--max-conns N] \
                      [--header-timeout-ms N] [--idle-timeout-ms N] [--write-stall-timeout-ms N] \
                      [--stream-budget BYTES] \
                      [--strict-lint] [--lint] [--wal-info] [--self-test]";
@@ -104,20 +102,17 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad --extract-threads: {e}"))?
             }
             "--repo" => config.repo_path = Some(PathBuf::from(value("--repo")?)),
-            "--wal" => config.wal_path = Some(PathBuf::from(value("--wal")?)),
             "--compact-every" => {
                 config.compact_every = value("--compact-every")?
                     .parse()
                     .map_err(|e| format!("bad --compact-every: {e}"))?
             }
-            "--no-wal" => config.wal_disabled = true,
             "--shards" => {
                 config.shards = value("--shards")?
                     .parse::<usize>()
                     .ok()
                     .filter(|&n| n >= 1)
-                    .ok_or("bad --shards: expected a positive integer")?;
-                config.sharded_wal = true;
+                    .ok_or("bad --shards: expected a positive integer")?
             }
             "--evented" => config.evented = true,
             "--max-conns" => {
@@ -165,21 +160,26 @@ fn parse_args() -> Result<Args, String> {
 
 /// `--lint`: audit the addressed repository offline. Prints every
 /// linter finding and returns whether any error-level finding exists —
-/// the CI gate's exit code. Lints the snapshot as loaded from `--repo`
-/// (the same document a server seed load reads); without `--repo` the
+/// the CI gate's exit code. Lints what a server started with the same
+/// `--repo` would serve, read without writing: the directory's shard
+/// snapshots with every shard log replayed over them, or the
+/// single-file pair the first start would import. Without `--repo` the
 /// built-in demo repository is audited, which doubles as the
 /// linter-is-clean check over the self-test rule set.
 fn lint_repository(config: &ServerConfig) -> Result<bool, String> {
-    let repo = match &config.repo_path {
-        Some(path) if path.exists() => RuleRepository::load(path)
-            .map_err(|e| format!("cannot load repository for linting: {e}"))?,
-        Some(path) => return Err(format!("cannot lint: {} does not exist", path.display())),
-        None => testdata::demo_repository(),
+    let repo = match (&config.repo_path, config.shard_dir(), config.legacy_wal_path()) {
+        (Some(path), Some(dir), Some(wal)) => {
+            if ![&dir, path, &wal].iter().any(|p| p.exists()) {
+                return Err(format!("cannot lint: {} does not exist", path.display()));
+            }
+            read_layout(&dir, Some(path), Some(&wal))
+                .map_err(|e| format!("cannot load repository for linting: {e}"))?
+                .snapshot()
+        }
+        _ => testdata::demo_repository().snapshot(),
     };
-    let names = repo.cluster_names();
     let (mut errors, mut warnings, mut infos) = (0usize, 0usize, 0usize);
-    for name in &names {
-        let rules = repo.get(name).expect("listed cluster present");
+    for (name, rules) in repo.iter() {
         let lint = rules.lint();
         for finding in &lint.diagnostics {
             println!("{name}: {finding}");
@@ -190,15 +190,15 @@ fn lint_repository(config: &ServerConfig) -> Result<bool, String> {
     }
     println!(
         "linted {} cluster(s): {errors} error(s), {warnings} warning(s), {infos} info(s)",
-        names.len()
+        repo.len()
     );
     Ok(errors > 0)
 }
 
-/// `--wal-info`: print replay statistics for every WAL the flags
-/// address, read-only. The sharded directory layout (detected by its
-/// manifest, or requested via `--shards`) reports each shard; otherwise
-/// the single-file log is reported.
+/// `--wal-info`: print replay statistics for every WAL `--repo`
+/// addresses, read-only: each shard log of the directory once its
+/// manifest exists, otherwise the single-file log the first start
+/// would import.
 fn print_wal_info(config: &ServerConfig) -> Result<(), String> {
     let describe = |path: &std::path::Path| -> Result<retrozilla::WalInfo, String> {
         wal_info(path).map_err(|e| format!("cannot inspect {}: {e}", path.display()))
@@ -243,10 +243,8 @@ fn print_wal_info(config: &ServerConfig) -> Result<(), String> {
             println!("  total: {total_records} record(s), {total_torn} torn byte(s)");
         }
         _ => {
-            let path = config
-                .legacy_wal_path()
-                .ok_or("--wal-info needs --repo (or --wal) to locate a log")?;
-            println!("single-file WAL:");
+            let path = config.legacy_wal_path().ok_or("--wal-info needs --repo to locate a log")?;
+            println!("single-file WAL (imported into the directory on the next start):");
             let info = describe(&path)?;
             line(&path.display().to_string(), &info);
         }
@@ -294,29 +292,9 @@ fn main() -> ExitCode {
         };
     }
 
-    // In the sharded layout the server opens (and, on first start,
-    // migrates) the directory itself — seeding the snapshot here too
-    // would append every cluster to the WALs again on each start.
-    let repo = match &args.config.repo_path {
-        Some(_) if args.config.sharded_wal && !args.config.wal_disabled => RuleRepository::new(),
-        Some(path) if path.exists() => match RuleRepository::load(path) {
-            Ok(repo) => {
-                println!("loaded {} cluster(s) from {}", repo.len(), path.display());
-                repo
-            }
-            Err(e) => {
-                eprintln!("cannot load repository: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Some(path) => {
-            println!("starting with an empty repository (will persist to {})", path.display());
-            RuleRepository::new()
-        }
-        None => RuleRepository::new(),
-    };
-
-    let server = match Server::bind(repo, args.config.clone()) {
+    // The server opens (and, on first start, imports into) the
+    // directory itself; there is no seed to load here.
+    let server = match Server::bind(RuleRepository::new(), args.config.clone()) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("cannot bind {}: {e}", args.config.addr);
@@ -332,7 +310,7 @@ fn main() -> ExitCode {
         }
     };
     if let Some(report) = handle.state().sharded_open_report() {
-        let dir = args.config.shard_dir().expect("sharded mode implies a shard dir");
+        let dir = args.config.shard_dir().expect("a repository path implies a shard dir");
         println!(
             "sharded repository at {} — {} shard(s), {} cluster(s) live",
             dir.display(),
@@ -341,8 +319,8 @@ fn main() -> ExitCode {
         );
         if let Some(migrated) = report.migrated_clusters {
             println!(
-                "  migrated {migrated} cluster(s) from the single-file layout \
-                 (legacy files left in place, superseded)"
+                "  created the directory with {migrated} cluster(s) imported from the \
+                 single-file pair (legacy files left in place, no longer read)"
             );
         }
         if report.adopted_manifest_shards {
@@ -353,22 +331,16 @@ fn main() -> ExitCode {
             );
         }
     }
-    if let Some(wal) = handle.state().wal_stats() {
-        let location = if args.config.sharded_wal {
-            args.config.shard_dir().map(|p| format!("{}/shard-*.wal", p.display()))
-        } else {
-            args.config.effective_wal_path().map(|p| p.display().to_string())
-        };
+    if let (Some(wal), Some(dir)) = (handle.state().wal_stats(), args.config.shard_dir()) {
         println!(
-            "WAL {} — replayed {} record(s){} over the snapshot{}",
-            location.unwrap_or_else(|| "?".into()),
+            "WAL {}/shard-*.wal — replayed {} record(s){} over the snapshots (parallel replay)",
+            dir.display(),
             wal.replayed_records,
             if wal.replay_torn_bytes > 0 {
                 format!(" (recovered a torn tail: {} byte(s) discarded)", wal.replay_torn_bytes)
             } else {
                 String::new()
             },
-            if args.config.sharded_wal { "s (parallel replay)" } else { "" },
         );
     }
     println!(
@@ -657,68 +629,44 @@ fn self_test() -> Result<String, String> {
         handle.shutdown();
     }
 
-    // WAL replay on startup: a mutation acknowledged by one server
-    // instance — logged, never compacted into a snapshot — must be
-    // live after a restart over the same files.
+    // Single-file import, then directory replay: a `<repo>` snapshot
+    // plus a `<repo>.wal` tail (one log-only mutation) is imported into
+    // `<repo>.d/` on the first start, a mutation lands in exactly one
+    // shard's WAL, and a restart replays it (in parallel) without
+    // importing the legacy pair again.
     let dir = std::env::temp_dir().join(format!("retrozilla-selftest-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).map_err(io)?;
     let repo_path = dir.join("rules.json");
-    let wal_config = ServerConfig {
+    testdata::demo_repository().save(&repo_path).map_err(io)?;
+    let updated = testdata::cluster_from(&testdata::updated_cluster_json()).to_json();
+    {
+        let (mut wal, _) = Wal::open(&dir.join("rules.json.wal")).map_err(io)?;
+        let op = WalOp::Record(testdata::cluster_from(&testdata::updated_cluster_json()));
+        wal.append(&op).map_err(io)?;
+    }
+    let config = ServerConfig {
         repo_path: Some(repo_path.clone()),
-        compact_every: 1_000_000, // keep everything in the log
-        shards: 1,                // the single-file layout under test
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(RuleRepository::new(), wal_config.clone())
-        .map_err(|e| format!("wal bind: {e}"))?;
-    let handle = server.start().map_err(|e| format!("wal start: {e}"))?;
-    let resp = request_once(
-        handle.addr(),
-        "PUT",
-        &format!("/clusters/{}", testdata::DEMO_CLUSTER),
-        &[],
-        testdata::demo_cluster_json().as_bytes(),
-    )
-    .map_err(io)?;
-    expect(resp.status == 201, "wal PUT status", resp.status)?;
-    expect(!repo_path.exists(), "snapshot untouched (mutation was a log append)", "rewritten")?;
-    handle.shutdown();
-    let server =
-        Server::bind(RuleRepository::new(), wal_config).map_err(|e| format!("wal rebind: {e}"))?;
-    let handle = server.start().map_err(|e| format!("wal restart: {e}"))?;
-    let replayed = handle.state().wal_stats().map(|w| w.replayed_records).unwrap_or(0);
-    expect(replayed == 1, "replayed record count after restart", replayed)?;
-    let resp = request_once(
-        handle.addr(),
-        "GET",
-        &format!("/clusters/{}", testdata::DEMO_CLUSTER),
-        &[],
-        b"",
-    )
-    .map_err(io)?;
-    expect(resp.status == 200, "replayed cluster served after restart", resp.status)?;
-    handle.shutdown();
-
-    // Sharded layout: the single-file state above migrates into
-    // `<repo>.d/` on first sharded start, a mutation lands in exactly
-    // one shard's WAL, and a restart replays it (in parallel).
-    let sharded_config = ServerConfig {
-        repo_path: Some(repo_path.clone()),
-        compact_every: 1_000_000,
+        compact_every: 1_000_000, // keep every mutation in the logs
         shards: 4,
-        sharded_wal: true,
         ..ServerConfig::default()
     };
-    let server = Server::bind(RuleRepository::new(), sharded_config.clone())
-        .map_err(|e| format!("sharded bind: {e}"))?;
-    let handle = server.start().map_err(|e| format!("sharded start: {e}"))?;
+    let server = Server::bind(RuleRepository::new(), config.clone())
+        .map_err(|e| format!("import bind: {e}"))?;
+    let handle = server.start().map_err(|e| format!("import start: {e}"))?;
     let report = handle.state().sharded_open_report().ok_or("missing sharded open report")?;
-    expect(report.shards == 4, "sharded shard count", report.shards)?;
+    expect(report.shards == 4, "shard count", report.shards)?;
     expect(
         report.migrated_clusters == Some(1),
-        "single-file cluster migrated into the sharded layout",
+        "single-file pair imported into the directory",
         format!("{:?}", report.migrated_clusters),
+    )?;
+    let demo_uri = format!("/clusters/{}", testdata::DEMO_CLUSTER);
+    let resp = request_once(handle.addr(), "GET", &demo_uri, &[], b"").map_err(io)?;
+    expect(
+        resp.body_json().ok() == Some(updated.clone()),
+        "imported cluster is the single-file log tail's version",
+        resp.body_utf8(),
     )?;
     let spaced = testdata::demo_cluster_json().replace("demo-movies", "sharded movies");
     let resp =
@@ -742,30 +690,32 @@ fn self_test() -> Result<String, String> {
         .unwrap_or(0);
     expect(wal_gauges == 4, "per-shard wal gauges on /metrics", wal_gauges)?;
     handle.shutdown();
-    let server = Server::bind(RuleRepository::new(), sharded_config)
-        .map_err(|e| format!("sharded rebind: {e}"))?;
-    let handle = server.start().map_err(|e| format!("sharded restart: {e}"))?;
+    let server = Server::bind(RuleRepository::new(), config).map_err(|e| format!("rebind: {e}"))?;
+    let handle = server.start().map_err(|e| format!("restart: {e}"))?;
+    let report = handle.state().sharded_open_report().ok_or("missing sharded open report")?;
+    expect(
+        report.migrated_clusters.is_none(),
+        "restart does not import the single-file pair again",
+        format!("{:?}", report.migrated_clusters),
+    )?;
     let replayed = handle.state().wal_stats().map(|w| w.replayed_records).unwrap_or(0);
-    expect(replayed == 1, "sharded replayed record count after restart", replayed)?;
+    expect(replayed == 1, "replayed record count after restart", replayed)?;
     let resp =
         request_once(handle.addr(), "GET", "/clusters/sharded%20movies", &[], b"").map_err(io)?;
-    expect(resp.status == 200, "sharded replayed cluster served", resp.status)?;
-    let resp = request_once(
-        handle.addr(),
-        "GET",
-        &format!("/clusters/{}", testdata::DEMO_CLUSTER),
-        &[],
-        b"",
-    )
-    .map_err(io)?;
-    expect(resp.status == 200, "migrated cluster served from sharded layout", resp.status)?;
+    expect(resp.status == 200, "replayed cluster served", resp.status)?;
+    let resp = request_once(handle.addr(), "GET", &demo_uri, &[], b"").map_err(io)?;
+    expect(
+        resp.body_json().ok() == Some(updated),
+        "imported cluster served after restart",
+        resp.body_utf8(),
+    )?;
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 
     Ok(format!(
         "7 endpoints exercised, {total} requests served, streaming + drift + hot reload + \
          percent-decoding + rule lint (incl. strict gate + parse-error offsets) + evented \
-         front end + WAL replay (single-file and sharded, incl. migration) verified"
+         front end + single-file import and WAL replay verified"
     ))
 }
 

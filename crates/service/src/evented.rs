@@ -356,7 +356,10 @@ impl EventLoop {
     }
 
     fn admit(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
+        // Replies go out as several small writes (a streamed batch is a
+        // head plus chunks); without NODELAY, Nagle holds each trailing
+        // segment for the client's delayed ACK (~40 ms per request).
+        if stream.set_nonblocking(true).and_then(|()| stream.set_nodelay(true)).is_err() {
             return;
         }
         let slot = match self.free.pop() {

@@ -443,3 +443,31 @@ fn metrics_report_evented_gauges() {
     drop(held);
     handle.shutdown();
 }
+
+/// Streamed batch replies go out as several small writes (head, then
+/// chunks). Without `TCP_NODELAY` on the accepted socket, Nagle holds
+/// each trailing segment until the client's delayed ACK (40 ms on
+/// Linux), so every keep-alive batch request pays that floor. The
+/// median over sequential requests on one connection must stay well
+/// below it.
+#[test]
+fn streamed_batches_on_keep_alive_do_not_wait_for_delayed_acks() {
+    let handle = start_server(evented_config());
+    let body = pages_json(&demo_pages(8));
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut millis: Vec<f64> = (0..20)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            let resp = client
+                .request("POST", &format!("/extract/{DEMO_CLUSTER}/batch"), &[], body.as_bytes())
+                .expect("batch");
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.header("transfer-encoding"), Some("chunked"));
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    millis.sort_by(f64::total_cmp);
+    let median = millis[millis.len() / 2];
+    assert!(median < 20.0, "median streamed batch took {median:.1} ms: {millis:?}");
+    handle.shutdown();
+}

@@ -1,11 +1,12 @@
 //! Loopback end-to-end tests: concurrent clients over real TCP, served
-//! output held byte-identical to direct `extract_cluster` output, hot
+//! output held byte-identical to direct `extract_cluster_html` output, hot
 //! rule reload mid-run, and a draining shutdown.
 
 use retroweb_service::testdata::{
     self, demo_pages, demo_repository, direct_extract_xml, drifted_page, pages_json, DEMO_CLUSTER,
 };
 use retroweb_service::{request_once, Client, Server, ServerConfig};
+use retrozilla::{read_layout, shard_for, ClusterStore, ShardManifest};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -179,9 +180,10 @@ fn crud_check_and_errors() {
     let resp = client.request("GET", "/clusters", &[], b"").unwrap();
     assert!(resp.body_utf8().contains(DEMO_CLUSTER));
 
-    // PUT persists durably — but as a WAL append, not a snapshot
-    // rewrite: the snapshot file is untouched, and replaying the pair
-    // of files reproduces the acknowledged mutation.
+    // PUT persists durably — but as a shard-WAL append, not a snapshot
+    // rewrite: the repository file is untouched, and reading the
+    // directory's snapshots and logs back reproduces the acknowledged
+    // mutation.
     let resp = client
         .request(
             "PUT",
@@ -192,15 +194,14 @@ fn crud_check_and_errors() {
         .unwrap();
     assert_eq!(resp.status, 200);
     assert!(!repo_path.exists(), "PUT must not rewrite the whole repository file");
-    let wal_path = dir.join("rules.json.wal");
-    assert!(wal_path.exists(), "mutation must be logged");
-    let on_disk =
-        retrozilla::DurableRepository::open_wal(repo_path.clone(), &wal_path, 1024).unwrap();
+    let shard_dir = dir.join("rules.json.d");
+    let wal_path = ShardManifest::wal_path(&shard_dir, shard_for(DEMO_CLUSTER, 8));
+    assert_eq!(retrozilla::wal_info(&wal_path).unwrap().records, 1, "mutation must be logged");
+    let on_disk = read_layout(&shard_dir, None, None).unwrap();
     assert_eq!(
-        on_disk.store().get(DEMO_CLUSTER),
+        on_disk.get(DEMO_CLUSTER),
         Some(testdata::cluster_from(&testdata::updated_cluster_json()))
     );
-    drop(on_disk);
 
     // Bad rule documents are rejected with diagnosable context.
     let bad = r#"{"cluster":"demo-movies","page-element":"p","rules":[{"name":"ok","optionality":"sometimes","multiplicity":"single-valued","format":"text","locations":[]}]}"#;
@@ -254,9 +255,7 @@ fn crud_check_and_errors() {
     let resp = client.request("GET", &format!("/clusters/{DEMO_CLUSTER}"), &[], b"").unwrap();
     assert_eq!(resp.status, 404);
     handle.shutdown();
-    let on_disk =
-        retrozilla::DurableRepository::open_wal(repo_path.clone(), &wal_path, 1024).unwrap();
-    assert!(on_disk.store().is_empty());
+    assert!(read_layout(&shard_dir, None, None).unwrap().is_empty());
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -364,7 +363,7 @@ fn latin1_page_bodies_decode_losslessly() {
 /// The streaming acceptance criterion: `/extract/{c}/batch` responds
 /// with chunked Transfer-Encoding, and the decoded body is byte-
 /// identical to the pre-streaming buffered output (= a direct
-/// `extract_cluster(...).xml.to_string_with(2)`).
+/// `extract_cluster_html(...).xml.to_string_with(2)`).
 #[test]
 fn chunked_batch_decodes_to_buffered_bytes() {
     use std::io::{Read, Write};
@@ -531,15 +530,18 @@ fn bad_threads_param_is_rejected() {
 
 /// The WAL acceptance criterion end-to-end: acknowledged mutations are
 /// single log appends (no snapshot rewrite), a restart replays them,
-/// and crossing `compact_every` folds the log into the snapshot and
-/// truncates it.
+/// and crossing `compact_every` folds the cluster's shard log into that
+/// shard's snapshot and truncates it.
 #[test]
 fn wal_mutations_survive_restart_and_compact() {
     let dir = std::env::temp_dir().join(format!("retroweb-service-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let repo_path = dir.join("rules.json");
-    let wal_path = dir.join("rules.json.wal");
+    let shard_dir = dir.join("rules.json.d");
+    let shard = shard_for(DEMO_CLUSTER, 8);
+    let snapshot_path = ShardManifest::snapshot_path(&shard_dir, shard);
+    let wal_path = ShardManifest::wal_path(&shard_dir, shard);
     let config =
         ServerConfig { repo_path: Some(repo_path.clone()), compact_every: 3, ..Default::default() };
 
@@ -568,7 +570,8 @@ fn wal_mutations_survive_restart_and_compact() {
     )
     .expect("PUT v2");
     assert_eq!(resp.status, 200);
-    assert!(!repo_path.exists(), "mutations must not rewrite the snapshot");
+    assert!(!repo_path.exists(), "mutations must not write the repository file");
+    assert!(!snapshot_path.exists(), "mutations must not rewrite the snapshot");
     let resp = request_once(addr, "GET", "/metrics", &[], b"").expect("metrics");
     let wal = resp.body_json().unwrap().get("wal").expect("wal metrics section").clone();
     assert_eq!(wal.get("appended_records").unwrap().as_u64(), Some(2), "{wal}");
@@ -576,7 +579,8 @@ fn wal_mutations_survive_restart_and_compact() {
     assert_eq!(wal.get("compactions").unwrap().as_u64(), Some(0));
     handle.shutdown();
 
-    // Restart: the log replays over the (absent) snapshot; v2 is live.
+    // Restart: the shard log replays over the (absent) snapshot; v2 is
+    // live.
     let handle = Server::bind(retrozilla::RuleRepository::new(), config.clone())
         .expect("rebind")
         .start()
@@ -595,8 +599,9 @@ fn wal_mutations_survive_restart_and_compact() {
     assert_eq!(wal.get("replayed_records").unwrap().as_u64(), Some(2), "{wal}");
     assert_eq!(wal.get("replay_torn_bytes").unwrap().as_u64(), Some(0));
 
-    // One more mutation crosses compact_every (2 replayed + 1 = 3):
-    // the snapshot appears, the log truncates back to its magic.
+    // One more mutation crosses compact_every (2 replayed + 1 = 3 on
+    // the cluster's shard): that shard's snapshot appears, its log
+    // truncates back to its magic.
     let resp = request_once(
         addr,
         "PUT",
@@ -610,8 +615,8 @@ fn wal_mutations_survive_restart_and_compact() {
     let wal = resp.body_json().unwrap().get("wal").expect("wal section").clone();
     assert_eq!(wal.get("compactions").unwrap().as_u64(), Some(1), "{wal}");
     assert_eq!(wal.get("since_compaction").unwrap().as_u64(), Some(0));
-    assert!(repo_path.exists(), "compaction must write the snapshot");
-    let snapshot = retrozilla::RuleRepository::load(&repo_path).expect("compacted snapshot");
+    assert!(snapshot_path.exists(), "compaction must write the shard snapshot");
+    let snapshot = retrozilla::RuleRepository::load(&snapshot_path).expect("compacted snapshot");
     assert_eq!(
         snapshot.get(DEMO_CLUSTER),
         Some(testdata::cluster_from(&testdata::demo_cluster_json()))
@@ -620,11 +625,11 @@ fn wal_mutations_survive_restart_and_compact() {
     handle.shutdown();
 
     // Third lifetime: state comes purely from the snapshot.
-    let handle =
-        Server::bind(retrozilla::RuleRepository::load(&repo_path).expect("load snapshot"), config)
-            .expect("rebind")
-            .start()
-            .expect("restart");
+    let handle = Server::bind(retrozilla::RuleRepository::new(), config)
+        .expect("rebind")
+        .start()
+        .expect("restart");
+    assert_eq!(handle.state().wal_stats().unwrap().replayed_records, 0);
     let resp = request_once(handle.addr(), "GET", &format!("/clusters/{DEMO_CLUSTER}"), &[], b"")
         .expect("GET");
     assert_eq!(resp.status, 200);
@@ -633,14 +638,13 @@ fn wal_mutations_survive_restart_and_compact() {
 }
 
 /// The sharded-layout acceptance path end-to-end over HTTP: a server
-/// started with `sharded_wal` opens `<repo>.d/` (one snapshot + WAL per
-/// shard), mutations land as fsynced appends in exactly the shard their
+/// started with a repository path opens `<repo>.d/` (one snapshot + WAL
+/// per shard), mutations land as fsynced appends in exactly the shard their
 /// cluster routes to, `/metrics` exposes per-shard gauges, a restart
 /// replays every shard (in parallel), and per-shard compaction folds
 /// only that shard's clusters.
 #[test]
 fn sharded_wal_layout_over_http() {
-    use retrozilla::{shard_for, ShardManifest};
     let dir = std::env::temp_dir().join(format!("retroweb-service-shard-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -649,7 +653,6 @@ fn sharded_wal_layout_over_http() {
     let config = ServerConfig {
         repo_path: Some(repo_path.clone()),
         shards: 4,
-        sharded_wal: true,
         compact_every: 1_000,
         ..Default::default()
     };
@@ -668,7 +671,7 @@ fn sharded_wal_layout_over_http() {
         assert_eq!(resp.status, 201, "{name}: {}", resp.body_utf8());
     }
     assert!(shard_dir.join("manifest.json").exists(), "manifest committed");
-    assert!(!repo_path.exists(), "single-file snapshot must not appear in sharded mode");
+    assert!(!repo_path.exists(), "the single-file snapshot must never be written");
     // Each mutation was appended to the WAL its cluster routes to.
     for name in names {
         let wal = ShardManifest::wal_path(&shard_dir, shard_for(name, 4));
@@ -743,7 +746,6 @@ fn sharded_seed_is_recorded_once_across_restarts() {
     let config = ServerConfig {
         repo_path: Some(dir.join("rules.json")),
         shards: 4,
-        sharded_wal: true,
         compact_every: 1_000_000,
         ..Default::default()
     };
@@ -780,93 +782,82 @@ fn sharded_seed_is_recorded_once_across_restarts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Migration path over HTTP: a repository built by a single-file-WAL
-/// server lifetime is carried into the sharded directory layout the
-/// first time the server starts with `sharded_wal`, including
-/// log-only (never compacted) mutations.
+/// Import path over HTTP, in the layout the benchmark writes: a
+/// hand-written `<repo>` snapshot plus a `<repo>.wal` tail (log-only
+/// upserts and a removal) is imported into `<repo>.d/` on the first
+/// start with every cluster live; a restart serves the same state
+/// without importing again; and later edits to the legacy files are
+/// ignored.
 #[test]
 fn single_file_layout_migrates_into_sharded_server() {
+    use retrozilla::{RuleRepository, Wal, WalOp};
     let dir = std::env::temp_dir().join(format!("retroweb-service-migrate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let repo_path = dir.join("rules.json");
-
-    // Lifetime 1: classic single-file WAL server, one mutation.
-    let single = ServerConfig {
-        repo_path: Some(repo_path.clone()),
-        compact_every: 1_000_000,
-        ..Default::default()
+    let wal_path = dir.join("rules.json.wal");
+    let named = |name: &str| {
+        testdata::cluster_from(&testdata::demo_cluster_json().replace(DEMO_CLUSTER, name))
     };
-    let handle = start_server(single); // demo repository seed, ephemeral-in-memory…
-                                       // …but the seed is not on disk: record a cluster so the WAL holds it.
-    let resp = request_once(
-        handle.addr(),
-        "PUT",
-        &format!("/clusters/{DEMO_CLUSTER}"),
-        &[],
-        testdata::updated_cluster_json().as_bytes(),
-    )
-    .expect("PUT");
-    assert_eq!(resp.status, 200);
-    handle.shutdown();
-    assert!(dir.join("rules.json.wal").exists());
-
-    // Lifetime 2: same --repo, now sharded. The WAL-only mutation must
-    // be live, served from the migrated directory layout.
-    let sharded = ServerConfig {
-        repo_path: Some(repo_path.clone()),
-        shards: 4,
-        sharded_wal: true,
-        ..Default::default()
+    let snapshot = RuleRepository::new();
+    for name in [DEMO_CLUSTER, "snapshot-only", "removed-by-log"] {
+        snapshot.record(named(name));
+    }
+    snapshot.save(&repo_path).unwrap();
+    {
+        let (mut wal, _) = Wal::open(&wal_path).unwrap();
+        let updated = testdata::cluster_from(&testdata::updated_cluster_json());
+        wal.append(&WalOp::Record(updated)).unwrap();
+        wal.append(&WalOp::Record(named("log-only"))).unwrap();
+        wal.append(&WalOp::Remove("removed-by-log".to_string())).unwrap();
+    }
+    let mut want = vec![
+        (DEMO_CLUSTER, testdata::cluster_from(&testdata::updated_cluster_json())),
+        ("snapshot-only", named("snapshot-only")),
+        ("log-only", named("log-only")),
+    ];
+    want.sort_by_key(|(name, _)| *name);
+    let config =
+        ServerConfig { repo_path: Some(repo_path.clone()), shards: 4, ..Default::default() };
+    let serves_imported_state = |handle: &retroweb_service::ServerHandle| {
+        assert_eq!(
+            handle.state().repo().cluster_names(),
+            want.iter().map(|(n, _)| *n).collect::<Vec<_>>()
+        );
+        for (name, rules) in &want {
+            let resp = request_once(handle.addr(), "GET", &format!("/clusters/{name}"), &[], b"")
+                .expect("GET");
+            assert_eq!(resp.status, 200, "{name}");
+            assert_eq!(retroweb_json::parse(&resp.body_utf8()).unwrap(), rules.to_json(), "{name}");
+        }
+        let resp =
+            request_once(handle.addr(), "GET", "/clusters/removed-by-log", &[], b"").expect("GET");
+        assert_eq!(resp.status, 404, "a removal in the log tail is imported too");
     };
-    let handle = Server::bind(retrozilla::RuleRepository::new(), sharded)
-        .expect("bind sharded")
-        .start()
-        .expect("start sharded");
-    let report = handle.state().sharded_open_report().expect("sharded report");
-    assert_eq!(report.migrated_clusters, Some(1), "{report:?}");
-    let resp = request_once(handle.addr(), "GET", &format!("/clusters/{DEMO_CLUSTER}"), &[], b"")
-        .expect("GET");
-    assert_eq!(resp.status, 200);
-    assert_eq!(
-        retroweb_json::parse(&resp.body_utf8()).unwrap(),
-        testdata::cluster_from(&testdata::updated_cluster_json()).to_json(),
-        "migrated state must be the last acknowledged single-file mutation"
-    );
-    handle.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
 
-/// `--no-wal` keeps the legacy behaviour: every mutation rewrites the
-/// whole snapshot, loadable directly.
-#[test]
-fn no_wal_mode_rewrites_snapshot_per_mutation() {
-    let dir = std::env::temp_dir().join(format!("retroweb-service-nowal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let repo_path = dir.join("rules.json");
-    let handle = start_server(ServerConfig {
-        repo_path: Some(repo_path.clone()),
-        wal_disabled: true,
-        ..Default::default()
-    });
-    let resp = request_once(
-        handle.addr(),
-        "PUT",
-        &format!("/clusters/{DEMO_CLUSTER}"),
-        &[],
-        testdata::updated_cluster_json().as_bytes(),
-    )
-    .expect("PUT");
-    assert_eq!(resp.status, 200);
-    let on_disk = retrozilla::RuleRepository::load(&repo_path).expect("rewritten snapshot");
-    assert_eq!(
-        on_disk.get(DEMO_CLUSTER),
-        Some(testdata::cluster_from(&testdata::updated_cluster_json()))
-    );
-    assert!(!dir.join("rules.json.wal").exists(), "no log in --no-wal mode");
-    let resp = request_once(handle.addr(), "GET", "/metrics", &[], b"").expect("metrics");
-    assert!(resp.body_json().unwrap().get("wal").is_none(), "no wal metrics in --no-wal mode");
+    // First start: the pair is imported, every cluster live.
+    let bind = || {
+        Server::bind(RuleRepository::new(), config.clone()).expect("bind").start().expect("start")
+    };
+    let handle = bind();
+    assert_eq!(handle.state().sharded_open_report().unwrap().migrated_clusters, Some(3));
+    serves_imported_state(&handle);
+    handle.shutdown();
+
+    // Restart: the directory alone serves the same state.
+    let handle = bind();
+    assert_eq!(handle.state().sharded_open_report().unwrap().migrated_clusters, None);
+    serves_imported_state(&handle);
+    handle.shutdown();
+
+    // Edits to the superseded legacy files are never read again.
+    RuleRepository::new().save(&repo_path).unwrap();
+    let (mut wal, _) = Wal::open(&wal_path).unwrap();
+    wal.append(&WalOp::Remove(DEMO_CLUSTER.to_string())).unwrap();
+    drop(wal);
+    let handle = bind();
+    assert_eq!(handle.state().sharded_open_report().unwrap().migrated_clusters, None);
+    serves_imported_state(&handle);
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1237,4 +1228,70 @@ fn metrics_lint_section_coherent_after_put_and_delete() {
         "observation history survives the delete: {lint:?}"
     );
     handle.shutdown();
+}
+
+/// `retrozilla-serve --lint` audits what a server would serve, read
+/// only: a rule with error-level findings that lives only in a shard's
+/// log tail (the repository file says `[]`) fails the audit, as does
+/// one only in a not-yet-imported single-file log; no file changes.
+#[test]
+fn lint_audits_rules_that_exist_only_in_the_log() {
+    use retrozilla::{Wal, WalOp};
+    let bad = r#"{"cluster":"bad","page-element":"bad-page","rules":[{"name":"broken",
+        "optionality":"mandatory","multiplicity":"single-valued","format":"text",
+        "locations":["//TABLE[1]/TR[0]/TD[2]/text()"],"post":[]}]}"#;
+    let dir = std::env::temp_dir().join(format!("retroweb-service-lintlog-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let lint = |repo: &std::path::Path| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_retrozilla-serve"))
+            .arg("--repo")
+            .arg(repo)
+            .arg("--lint")
+            .output()
+            .expect("run retrozilla-serve --lint");
+        (out.status.success(), String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    let files = |dir: &std::path::Path| {
+        let mut all = Vec::new();
+        let mut stack = vec![dir.to_path_buf()];
+        while let Some(d) = stack.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    stack.push(path);
+                } else {
+                    all.push((path.clone(), std::fs::read(&path).unwrap()));
+                }
+            }
+        }
+        all.sort();
+        all
+    };
+
+    // The rule reaches only a shard log of the directory.
+    let repo_path = dir.join("rules.json");
+    let config = ServerConfig { repo_path: Some(repo_path.clone()), ..Default::default() };
+    let handle = Server::bind(retrozilla::RuleRepository::new(), config).unwrap().start().unwrap();
+    let resp = request_once(handle.addr(), "PUT", "/clusters/bad", &[], bad.as_bytes()).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.body_utf8());
+    handle.shutdown();
+    std::fs::write(&repo_path, "[]").unwrap();
+    let before = files(&dir);
+    let (ok, stdout) = lint(&repo_path);
+    assert!(!ok, "--lint must fail on a logged rule with errors:\n{stdout}");
+    assert!(stdout.contains("bad: ") && stdout.contains("linted 1 cluster(s)"), "{stdout}");
+    assert_eq!(files(&dir), before, "--lint must not write");
+
+    // The rule is only in a single-file log the first start would import.
+    let legacy = dir.join("legacy.json");
+    std::fs::write(&legacy, "[]").unwrap();
+    let (mut wal, _) = Wal::open(&dir.join("legacy.json.wal")).unwrap();
+    wal.append(&WalOp::Record(testdata::cluster_from(bad))).unwrap();
+    drop(wal);
+    let (ok, stdout) = lint(&legacy);
+    assert!(!ok, "--lint must fail on a rule in the unimported log:\n{stdout}");
+    assert!(stdout.contains("linted 1 cluster(s)"), "{stdout}");
+    assert!(!dir.join("legacy.json.d").exists(), "--lint must not import");
+    std::fs::remove_dir_all(&dir).ok();
 }
