@@ -30,7 +30,9 @@
 //!   (`extract_page_compiled`, the cluster's rules merged into one
 //!   shared-prefix plan run in a single DOM traversal) vs per-rule
 //!   compiled execution (`extract_page_compiled_per_rule`) — the
-//!   fusion PR's acceptance number is the fused/per-rule ratio;
+//!   fused/per-rule ratio is the gated number. Beside it, the fused
+//!   pages/s with parsing included (`fused_with_parse_pages_per_s`) and
+//!   the parse MB/s on the same pages;
 //! - **connections**: idle-connection scaling — 10k established
 //!   keep-alive connections (held by a hidden `--idle-flood` child
 //!   process so both socket ends don't share one fd budget) with a
@@ -229,6 +231,10 @@ struct LockedStore {
 impl ClusterStore for LockedStore {
     fn get(&self, cluster: &str) -> Option<ClusterRules> {
         self.rules.get(cluster)
+    }
+
+    fn contains(&self, cluster: &str) -> bool {
+        self.rules.contains(cluster)
     }
 
     fn compiled(&self, cluster: &str) -> Option<Arc<CompiledCluster>> {
@@ -596,7 +602,9 @@ fn fusion_page(labels: usize, seed: usize) -> String {
 /// many-attribute cluster, fused one-pass execution
 /// (`extract_page_compiled`) vs per-rule compiled execution
 /// (`extract_page_compiled_per_rule`), on identical parsed documents.
-/// Asserts output equality before timing, then gates the speedup.
+/// Asserts output equality before timing, then gates the speedup. Also
+/// reports the fused pages/s with each page parsed first, and the parse
+/// MB/s on the same pages; neither is gated.
 fn fusion_scenario(quick: bool) -> Json {
     let labels = 14usize;
     let page_count = if quick { 24 } else { 200 };
@@ -606,8 +614,8 @@ fn fusion_scenario(quick: bool) -> Json {
     let rule_count = cluster.rules.len();
     let compiled = cluster.compile();
     let stats = compiled.fused().stats();
-    let docs: Vec<retroweb_html::Document> =
-        (0..page_count).map(|i| retroweb_html::parse(&fusion_page(labels, i))).collect();
+    let html: Vec<String> = (0..page_count).map(|i| fusion_page(labels, i)).collect();
+    let docs: Vec<retroweb_html::Document> = html.iter().map(|h| retroweb_html::parse(h)).collect();
     println!(
         "\nfusion: {rule_count} label-anchored rules, {page_count} pages, \
          {}/{} steps shared in the fused plan",
@@ -638,15 +646,43 @@ fn fusion_scenario(quick: bool) -> Json {
         }
         (rounds * docs.len()) as f64 / started.elapsed().as_secs_f64()
     };
+    // The fused path again with each page parsed from its HTML first, as
+    // a server meets it, and the parse alone: the end-to-end number, and
+    // how much of it parsing takes.
+    let with_parse = |extract: bool| -> f64 {
+        let started = Instant::now();
+        for _ in 0..rounds {
+            for page in &html {
+                let doc = retroweb_html::parse(page);
+                if extract {
+                    let mut failures = Vec::new();
+                    let out =
+                        retrozilla::extract_page_compiled(&compiled, "u", &doc, &mut failures);
+                    std::hint::black_box(out);
+                }
+                std::hint::black_box(doc);
+            }
+        }
+        started.elapsed().as_secs_f64()
+    };
     // Warm both paths, then interleave measurement rounds.
     run(false);
     run(true);
+    with_parse(true);
     let per_rule_pages_per_s = run(false);
     let fused_pages_per_s = run(true);
+    let fused_with_parse_pages_per_s = (rounds * html.len()) as f64 / with_parse(true);
+    let html_bytes: usize = html.iter().map(String::len).sum();
+    let parse_mb_per_s = (rounds * html_bytes) as f64 / 1e6 / with_parse(false);
     let speedup = fused_pages_per_s / per_rule_pages_per_s.max(f64::MIN_POSITIVE);
     println!(
         "  per-rule: {per_rule_pages_per_s:>8.0} pages/s | fused: {fused_pages_per_s:>8.0} \
          pages/s -> {speedup:.1}x"
+    );
+    println!(
+        "  fused with parsing: {fused_with_parse_pages_per_s:>8.0} pages/s | parse alone: \
+         {parse_mb_per_s:.0} MB/s ({} bytes/page)",
+        html_bytes / html.len()
     );
     assert!(
         speedup >= gate,
@@ -661,6 +697,8 @@ fn fusion_scenario(quick: bool) -> Json {
         ("steps_shared".into(), Json::from(stats.steps_shared)),
         ("per_rule_pages_per_s".into(), Json::from(round3(per_rule_pages_per_s))),
         ("fused_pages_per_s".into(), Json::from(round3(fused_pages_per_s))),
+        ("fused_with_parse_pages_per_s".into(), Json::from(round3(fused_with_parse_pages_per_s))),
+        ("parse_mb_per_s".into(), Json::from(round3(parse_mb_per_s))),
         ("speedup".into(), Json::from(round3(speedup))),
         ("gate".into(), Json::from(gate)),
     ])

@@ -385,6 +385,11 @@ impl RuleRepository {
         self.clusters.read().expect("lock poisoned").get(cluster).map(|c| (**c).clone())
     }
 
+    /// Whether a cluster is recorded, without cloning its rules.
+    pub fn contains(&self, cluster: &str) -> bool {
+        self.clusters.read().expect("lock poisoned").contains_key(cluster)
+    }
+
     /// A point-in-time view of every recorded cluster: `Arc` clones
     /// under the read lock, so the lock is held for O(clusters) pointer
     /// work — everything slow (serialisation, disk writes) happens on

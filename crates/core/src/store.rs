@@ -78,6 +78,9 @@ pub trait ClusterStore: Send + Sync + fmt::Debug {
     /// A cluster's rules by name (cloned out of the store).
     fn get(&self, cluster: &str) -> Option<ClusterRules>;
 
+    /// Whether a cluster is recorded, without cloning its rules.
+    fn contains(&self, cluster: &str) -> bool;
+
     /// The cluster's rules in compiled form, built and cached on first
     /// use; callers across threads share the same `Arc`.
     fn compiled(&self, cluster: &str) -> Option<Arc<CompiledCluster>>;
@@ -457,6 +460,10 @@ impl ClusterStore for ShardedRepository {
         map.get(cluster).map(|e| (*e.rules).clone())
     }
 
+    fn contains(&self, cluster: &str) -> bool {
+        self.shard(cluster).snap.load().contains_key(cluster)
+    }
+
     fn compiled(&self, cluster: &str) -> Option<Arc<CompiledCluster>> {
         let shard = self.shard(cluster);
         let entry = {
@@ -655,6 +662,22 @@ mod tests {
         let names = store.cluster_names();
         assert_eq!(names.len(), 19);
         assert!(names.windows(2).all(|w| w[0] < w[1]), "names sorted: {names:?}");
+    }
+
+    #[test]
+    fn contains_tracks_record_and_remove() {
+        let store = ShardedRepository::new(4);
+        for i in 0..8 {
+            store.record(cluster(&format!("c{i}"), 1));
+        }
+        assert!((0..8).all(|i| store.contains(&format!("c{i}"))));
+        assert!(!store.contains("c8") && !store.contains(""));
+        assert!(store.remove("c3"));
+        assert!(!store.contains("c3"));
+        store.record(cluster("c3", 2));
+        assert!(store.contains("c3"));
+        // An existence check compiles nothing.
+        assert_eq!(store.stats().compiled_cache_entries, 0);
     }
 
     #[test]

@@ -793,7 +793,7 @@ impl DurableRepository {
                 // Check-and-log under the shard lock, so two racing
                 // removes of the same cluster log exactly once.
                 let mut shard = self.wal_shard(shards, cluster);
-                if self.store.get(cluster).is_none() {
+                if !self.store.contains(cluster) {
                     return Ok(false);
                 }
                 Self::wal_mutate_locked(

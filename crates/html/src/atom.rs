@@ -4,10 +4,13 @@
 //! one static table of the HTML element and attribute names real pages
 //! use, or, past its end, into the document's own overflow table for
 //! names the static table lacks (custom elements, `data-*` attributes).
-//! Names are lowercase. The static table is hashed at compile time, so
-//! interning a known name costs one FNV hash and one comparison, and the
-//! tree builder dispatches on atom constants and per-atom flags instead
-//! of comparing strings.
+//! Names are lowercase. The static table is hashed at compile time on a
+//! name's length and its first eight bytes, lowercased into one `u64`, so
+//! finding a known name in any case costs one multiplication and, most
+//! often, one slot read comparing that `u64` and the length (plus the
+//! bytes past the eighth, for longer names), and never a lowercase copy.
+//! The tree builder dispatches on atom constants and per-atom flags
+//! instead of comparing strings.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -280,61 +283,155 @@ atoms! {
 /// Number of static atoms.
 pub(crate) const STATIC_LEN: usize = NAMES.len();
 
-const SLOTS: usize = 1024;
-const EMPTY: u16 = u16::MAX;
+const SLOT_BITS: u32 = 9;
+const SLOTS: usize = 1 << SLOT_BITS;
 
-const fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    let mut i = 0;
-    while i < bytes.len() {
-        h = (h ^ bytes[i] as u32).wrapping_mul(0x0100_0193);
-        i += 1;
+/// The first eight bytes of `name`, ASCII-lowercased, as a little-endian
+/// `u64` padded with zeros. Most names are that short, so comparing keys
+/// and lengths compares them whole. Read with at most two loads, however
+/// long the name: a short one's bytes are covered by two overlapping
+/// reads, whose shared bytes agree.
+const fn prefix_key(name: &[u8]) -> u64 {
+    const fn load4(b: &[u8], at: usize) -> u64 {
+        u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]) as u64
     }
-    h
+    let n = name.len();
+    let raw = if n >= 8 {
+        load4(name, 0) | load4(name, 4) << 32
+    } else if n >= 4 {
+        load4(name, 0) | load4(name, n - 4) << (8 * (n - 4))
+    } else if n > 0 {
+        name[0] as u64
+            | (name[n / 2] as u64) << (8 * (n / 2))
+            | (name[n - 1] as u64) << (8 * (n - 1))
+    } else {
+        0
+    };
+    ascii_lowercase(raw)
 }
 
+/// Each byte of `x` ASCII-lowercased, all at once: bit 7 of `upper` is set
+/// in the bytes from `A` to `Z`, and shifted down it is their case bit.
+const fn ascii_lowercase(x: u64) -> u64 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let h = x & LOW7;
+    let upper = (h + 0x3f3f_3f3f_3f3f_3f3f) & !(h + 0x2525_2525_2525_2525) & !x & !LOW7;
+    x | upper >> 2
+}
+
+/// Static-table slot of a name of length `len` with prefix key `key`.
+const fn slot_of(key: u64, len: usize) -> usize {
+    (key.wrapping_add(len as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - SLOT_BITS)) as usize
+}
+
+/// A slot of [`INDEX`]: a static name's [`prefix_key`] and length, and
+/// its atom, so that a probe reads one slot and nothing else for a name
+/// of up to eight bytes.
+#[derive(Clone, Copy)]
+struct Slot {
+    key: u64,
+    len: u32,
+    atom: u32,
+}
+
+/// An empty slot; no name has its length.
+const EMPTY: Slot = Slot { key: 0, len: u32::MAX, atom: u32::MAX };
+
 /// Open-addressing index over [`NAMES`], built at compile time.
-const INDEX: [u16; SLOTS] = {
+static INDEX: [Slot; SLOTS] = {
     let mut table = [EMPTY; SLOTS];
     let mut i = 0;
     while i < NAMES.len() {
-        let mut slot = fnv1a(NAMES[i].as_bytes()) as usize % SLOTS;
-        while table[slot] != EMPTY {
+        let name = NAMES[i].as_bytes();
+        let key = prefix_key(name);
+        let mut slot = slot_of(key, name.len());
+        while table[slot].atom != EMPTY.atom {
             slot = (slot + 1) % SLOTS;
         }
-        table[slot] = i as u16;
+        table[slot] = Slot { key, len: name.len() as u32, atom: i as u32 };
         i += 1;
     }
     table
 };
 
-/// The static atom for a lowercase name.
-fn lookup_static(name: &str) -> Option<Atom> {
-    let mut slot = fnv1a(name.as_bytes()) as usize % SLOTS;
+/// A name to resolve, in any case, with its [`prefix_key`] and whether
+/// it has uppercase letters.
+#[derive(Clone, Copy)]
+pub(crate) struct Name<'a> {
+    text: &'a [u8],
+    key: u64,
+    upper: bool,
+}
+
+impl<'a> Name<'a> {
+    pub(crate) fn new(text: &'a str) -> Name<'a> {
+        Name { text: text.as_bytes(), key: prefix_key(text.as_bytes()), upper: has_upper(text) }
+    }
+
+    /// The first `len` bytes of `rest`, a name the tokenizer has scanned,
+    /// noting in `upper` whether it has uppercase letters. It ends at an
+    /// ASCII byte or at the end of the input, so it is UTF-8. While eight
+    /// bytes of `rest` are left, its key takes one load and a mask.
+    #[inline]
+    pub(crate) fn scanned(rest: &'a [u8], len: usize, upper: bool) -> Name<'a> {
+        let text = &rest[..len];
+        let key = match rest.first_chunk::<8>() {
+            Some(eight) if len > 0 => {
+                let mask = u64::MAX >> (64 - 8 * len.min(8));
+                ascii_lowercase(u64::from_le_bytes(*eight) & mask)
+            }
+            _ => prefix_key(text),
+        };
+        Name { text, key, upper }
+    }
+
+    /// The name, lowercase.
+    fn lowercase(self) -> Cow<'a, str> {
+        let text = std::str::from_utf8(self.text).expect("a scanned name ends on a char boundary");
+        lowercase(text, self.upper)
+    }
+}
+
+/// The static atom for `name`.
+#[inline]
+fn lookup_static(name: Name<'_>) -> Option<Atom> {
+    let (key, name) = (name.key, name.text);
+    let mut slot = slot_of(key, name.len());
     loop {
-        let i = INDEX[slot];
-        if i == EMPTY {
-            return None;
+        let entry = INDEX[slot];
+        // Table names are lowercase ASCII letters, digits and `-`, so a
+        // case-insensitive match means `name` is a case variant.
+        if entry.key == key
+            && entry.len as usize == name.len()
+            && (name.len() <= 8
+                || NAMES[entry.atom as usize].as_bytes()[8..].eq_ignore_ascii_case(&name[8..]))
+        {
+            return Some(Atom(entry.atom));
         }
-        if NAMES[i as usize] == name {
-            return Some(Atom(i as u32));
+        if entry.atom == EMPTY.atom {
+            return None;
         }
         slot = (slot + 1) % SLOTS;
     }
 }
 
-/// `raw` lowercased, borrowed unless it has uppercase letters.
-pub(crate) fn lowercase(raw: &str) -> Cow<'_, str> {
-    if raw.bytes().any(|b| b.is_ascii_uppercase()) {
+/// `raw` lowercased, borrowed unless `upper` says it has uppercase
+/// letters.
+pub(crate) fn lowercase(raw: &str, upper: bool) -> Cow<'_, str> {
+    if upper {
         Cow::Owned(raw.to_ascii_lowercase())
     } else {
         Cow::Borrowed(raw)
     }
 }
 
-/// Elements that never have children or end tags (`tag` lowercase).
+fn has_upper(name: &str) -> bool {
+    name.bytes().any(|b| b.is_ascii_uppercase())
+}
+
+/// Elements that never have children or end tags (`tag` in any case).
 pub fn is_void(tag: &str) -> bool {
-    lookup_static(tag).is_some_and(Atom::is_void)
+    lookup_static(Name::new(tag)).is_some_and(Atom::is_void)
 }
 
 /// A document's name table: the static atoms plus the names only this
@@ -348,18 +445,29 @@ pub(crate) struct Names {
 impl Names {
     /// The atom for `name`, in any case, without interning it.
     pub(crate) fn get(&self, name: &str) -> Option<Atom> {
-        let lower = lowercase(name);
-        lookup_static(&lower).or_else(|| self.index.get(&*lower).copied())
+        self.find(Name::new(name))
     }
 
     /// The atom for `name`, in any case, interning it if new.
     pub(crate) fn intern(&mut self, name: &str) -> Atom {
-        if let Some(atom) = self.get(name) {
+        self.resolve(Name::new(name))
+    }
+
+    /// [`get`](Self::get) for a [`Name`] the tokenizer has scanned. Only a
+    /// name outside the static table that has uppercase letters is
+    /// lowercased, to look it up.
+    pub(crate) fn find(&self, name: Name<'_>) -> Option<Atom> {
+        lookup_static(name).or_else(|| self.index.get(&*name.lowercase()).copied())
+    }
+
+    /// [`intern`](Self::intern) for a [`Name`] the tokenizer has scanned.
+    pub(crate) fn resolve(&mut self, name: Name<'_>) -> Atom {
+        if let Some(atom) = self.find(name) {
             return atom;
         }
         let index = u32::try_from(STATIC_LEN + self.extra.len()).expect("fewer than 2^32 names");
         let atom = Atom(index);
-        let boxed: Box<str> = lowercase(name).into();
+        let boxed: Box<str> = name.lowercase().into();
         self.extra.push(boxed.clone());
         self.index.insert(boxed, atom);
         atom
@@ -382,7 +490,7 @@ mod tests {
     fn static_names_are_unique_lowercase_and_indexed() {
         for (i, name) in NAMES.iter().enumerate() {
             assert_eq!(name.to_ascii_lowercase(), *name);
-            assert_eq!(lookup_static(name), Some(Atom(i as u32)), "{name}");
+            assert_eq!(lookup_static(Name::new(name)), Some(Atom(i as u32)), "{name}");
         }
         assert_eq!(FLAGS.len(), NAMES.len());
         assert!(NAMES.len() < SLOTS / 2);
@@ -399,11 +507,69 @@ mod tests {
     }
 
     #[test]
+    fn static_names_resolve_in_any_case() {
+        assert_eq!(lookup_static(Name::new("TABLE")), Some(TABLE));
+        assert_eq!(lookup_static(Name::new("Http-Equiv")), Some(HTTP_EQUIV));
+        assert_eq!(lookup_static(Name::new("tablex")), None);
+        assert_eq!(lookup_static(Name::new("tabl")), None);
+        assert_eq!(lookup_static(Name::new("")), None);
+        // A byte that folds onto a letter is still no match.
+        assert_eq!(lookup_static(Name::new("\x01")), None);
+        assert_eq!(lookup_static(Name::new("h\x11")), None);
+    }
+
+    #[test]
+    fn prefix_keys_lowercase_the_first_eight_bytes() {
+        let bytewise = |name: &[u8]| -> u64 {
+            name.iter()
+                .take(8)
+                .enumerate()
+                .map(|(i, b)| u64::from(b.to_ascii_lowercase()) << (8 * i))
+                .sum()
+        };
+        let odd: &[&[u8]] = &[b"", b"@[`{", b"\xc3\x89T\xc3\xa9", b"Z\0\x7f\x80\xff", b"a-B_c:D9"];
+        let upper: Vec<String> = NAMES.iter().map(|n| n.to_ascii_uppercase()).collect();
+        let names = NAMES.iter().map(|n| n.as_bytes()).chain(upper.iter().map(|n| n.as_bytes()));
+        for name in names.chain(odd.iter().copied()) {
+            assert_eq!(prefix_key(name), bytewise(name), "{name:?}");
+        }
+        let input = "Td CLASS=x tabLe";
+        for (at, len) in [(0, 2), (3, 5), (11, 5), (13, 3)] {
+            let name = Name::scanned(&input.as_bytes()[at..], len, true);
+            assert_eq!(name.key, prefix_key(&input.as_bytes()[at..at + len]), "{at}+{len}");
+            assert_eq!(name.text, &input.as_bytes()[at..at + len]);
+        }
+        for b in 0..=255u8 {
+            assert_eq!(
+                ascii_lowercase(u64::from(b) << 24),
+                u64::from(b.to_ascii_lowercase()) << 24
+            );
+        }
+    }
+
+    #[test]
+    fn static_lookups_probe_few_slots() {
+        let (mut longest, mut total) = (0, 0);
+        for name in NAMES {
+            let home = slot_of(prefix_key(name.as_bytes()), name.len());
+            let at = (0..SLOTS).find(|&d| {
+                let entry = INDEX[(home + d) % SLOTS];
+                entry.atom != EMPTY.atom && NAMES[entry.atom as usize] == *name
+            });
+            let at = at.expect("every name is indexed");
+            longest = longest.max(at);
+            total += at;
+        }
+        assert!(longest <= 8, "a static name sits {longest} slots past its home");
+        assert!(total * 2 < NAMES.len(), "{total} probes past home over {} names", NAMES.len());
+    }
+
+    #[test]
     fn lowercase_borrows_unless_uppercase() {
-        assert!(matches!(lowercase("table"), Cow::Borrowed("table")));
-        assert!(matches!(lowercase("x-widget"), Cow::Borrowed("x-widget")));
-        assert!(matches!(lowercase("TABLE"), Cow::Owned(s) if s == "table"));
-        assert!(matches!(lowercase("x-Widget"), Cow::Owned(s) if s == "x-widget"));
+        assert!(matches!(lowercase("table", false), Cow::Borrowed("table")));
+        assert!(matches!(lowercase("x-widget", false), Cow::Borrowed("x-widget")));
+        assert!(matches!(lowercase("TABLE", true), Cow::Owned(s) if s == "table"));
+        assert!(matches!(lowercase("x-Widget", true), Cow::Owned(s) if s == "x-widget"));
     }
 
     #[test]

@@ -11,7 +11,6 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::atom::{Atom, Names};
-use crate::tokenizer::Attribute;
 
 /// A string-buffer or attribute-arena offset. Arenas are indexed by `u32`
 /// to keep nodes small; a document whose payload outgrows 4 GiB panics.
@@ -80,21 +79,30 @@ pub enum NodeData {
     Comment(Span),
 }
 
-/// A node: tree links plus payload.
+/// "No node" in a [`Node`] link.
+const NONE: u32 = u32::MAX;
+
+/// A node: tree links plus payload. The links are node indices, `NONE`
+/// where there is no such node, and are read through the [`Document`]
+/// accessors ([`Document::parent`], [`Document::first_child`], ...).
 #[derive(Clone, Debug)]
 pub struct Node {
-    pub parent: Option<NodeId>,
-    pub prev: Option<NodeId>,
-    pub next: Option<NodeId>,
-    pub first_child: Option<NodeId>,
-    pub last_child: Option<NodeId>,
+    parent: u32,
+    prev: u32,
+    next: u32,
+    first_child: u32,
+    last_child: u32,
     pub data: NodeData,
 }
 
 impl Node {
     fn new(data: NodeData) -> Node {
-        Node { parent: None, prev: None, next: None, first_child: None, last_child: None, data }
+        Node { parent: NONE, prev: NONE, next: NONE, first_child: NONE, last_child: NONE, data }
     }
+}
+
+fn linked(link: u32) -> Option<NodeId> {
+    (link != NONE).then_some(NodeId(link))
 }
 
 /// An element, read from its document. Tag and attribute names are
@@ -287,20 +295,32 @@ impl Document {
     // ---- construction -----------------------------------------------------
 
     fn push(&mut self, node: Node) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != NONE)
+            .expect("a document holds fewer than 2^32 - 1 nodes");
         self.nodes.push(node);
-        id
+        NodeId(id)
+    }
+
+    /// Append `attrs` to the attribute arena; their run.
+    fn push_attrs<'v>(&mut self, attrs: impl Iterator<Item = (Atom, &'v str)>) -> Span {
+        let start = offset(self.attrs.len());
+        for (name, value) in attrs {
+            let value = self.store(value);
+            self.attrs.push(AttrSlot { name, value });
+        }
+        Span { start, end: offset(self.attrs.len()) }
     }
 
     /// A new element whose attributes are the `attrs` pairs; the tree
     /// builder's path, where the tokenizer has already dropped duplicates.
-    pub(crate) fn create_element_from(&mut self, name: Atom, attrs: &[Attribute<'_>]) -> NodeId {
-        let first = offset(self.attrs.len());
-        for (k, v) in attrs {
-            let slot = AttrSlot { name: self.names.intern(k), value: self.store(v) };
-            self.attrs.push(slot);
-        }
-        let attrs = Span { start: first, end: offset(self.attrs.len()) };
+    pub(crate) fn create_element_from<'v>(
+        &mut self,
+        name: Atom,
+        attrs: impl Iterator<Item = (Atom, &'v str)>,
+    ) -> NodeId {
+        let attrs = self.push_attrs(attrs);
         self.push(Node::new(NodeData::Element(ElementData { name, attrs })))
     }
 
@@ -314,18 +334,13 @@ impl Document {
     ) {
         let mut el = self.element_data(id).expect("set_attrs_from on non-element node");
         assert_eq!(el.attrs.start, el.attrs.end, "element already has attributes");
-        el.attrs.start = offset(self.attrs.len());
-        for (name, value) in attrs {
-            let value = self.store(value);
-            self.attrs.push(AttrSlot { name, value });
-        }
-        el.attrs.end = offset(self.attrs.len());
+        el.attrs = self.push_attrs(attrs);
         self.nodes[id.index()].data = NodeData::Element(el);
     }
 
-    /// Intern an element or attribute name.
-    pub(crate) fn intern(&mut self, name: &str) -> Atom {
-        self.names.intern(name)
+    /// The document's name table, for the tokenizer to resolve names in.
+    pub(crate) fn names_mut(&mut self) -> &mut Names {
+        &mut self.names
     }
 
     /// The atom of an already-interned name.
@@ -334,8 +349,8 @@ impl Document {
     }
 
     pub fn create_element(&mut self, name: &str) -> NodeId {
-        let name = self.intern(name);
-        self.create_element_from(name, &[])
+        let name = self.names.intern(name);
+        self.create_element_from(name, std::iter::empty())
     }
 
     pub fn create_element_with_attrs(&mut self, name: &str, attrs: &[(&str, &str)]) -> NodeId {
@@ -374,41 +389,43 @@ impl Document {
             "append would create a cycle"
         );
         self.detach(child);
+        self.append_new(parent, child);
+    }
+
+    /// Append `child`, which is linked to no parent or sibling (a node
+    /// just created, or just detached), as the last child of `parent`:
+    /// [`append_child`](Self::append_child) without the detach. The tree
+    /// builder's path.
+    pub(crate) fn append_new(&mut self, parent: NodeId, child: NodeId) {
         let old_last = self.nodes[parent.index()].last_child;
-        {
-            let c = &mut self.nodes[child.index()];
-            c.parent = Some(parent);
-            c.prev = old_last;
-            c.next = None;
+        let c = &mut self.nodes[child.index()];
+        debug_assert!(c.parent == NONE && c.prev == NONE && c.next == NONE, "child is linked");
+        c.parent = parent.0;
+        c.prev = old_last;
+        match linked(old_last) {
+            Some(last) => self.nodes[last.index()].next = child.0,
+            None => self.nodes[parent.index()].first_child = child.0,
         }
-        match old_last {
-            Some(last) => self.nodes[last.index()].next = Some(child),
-            None => self.nodes[parent.index()].first_child = Some(child),
-        }
-        self.nodes[parent.index()].last_child = Some(child);
+        self.nodes[parent.index()].last_child = child.0;
     }
 
     /// Insert `child` immediately before `before` (which must be a child of
     /// `parent`).
     pub fn insert_before(&mut self, parent: NodeId, child: NodeId, before: NodeId) {
-        assert_eq!(
-            self.nodes[before.index()].parent,
-            Some(parent),
-            "`before` is not a child of `parent`"
-        );
+        assert_eq!(self.parent(before), Some(parent), "`before` is not a child of `parent`");
         assert_ne!(child, before);
         self.detach(child);
         let prev = self.nodes[before.index()].prev;
         {
             let c = &mut self.nodes[child.index()];
-            c.parent = Some(parent);
+            c.parent = parent.0;
             c.prev = prev;
-            c.next = Some(before);
+            c.next = before.0;
         }
-        self.nodes[before.index()].prev = Some(child);
-        match prev {
-            Some(p) => self.nodes[p.index()].next = Some(child),
-            None => self.nodes[parent.index()].first_child = Some(child),
+        self.nodes[before.index()].prev = child.0;
+        match linked(prev) {
+            Some(p) => self.nodes[p.index()].next = child.0,
+            None => self.nodes[parent.index()].first_child = child.0,
         }
     }
 
@@ -419,29 +436,29 @@ impl Document {
             let n = &self.nodes[id.index()];
             (n.parent, n.prev, n.next)
         };
-        if let Some(p) = prev {
+        if let Some(p) = linked(prev) {
             self.nodes[p.index()].next = next;
         }
-        if let Some(nx) = next {
+        if let Some(nx) = linked(next) {
             self.nodes[nx.index()].prev = prev;
         }
-        if let Some(pa) = parent {
-            if self.nodes[pa.index()].first_child == Some(id) {
+        if let Some(pa) = linked(parent) {
+            if self.nodes[pa.index()].first_child == id.0 {
                 self.nodes[pa.index()].first_child = next;
             }
-            if self.nodes[pa.index()].last_child == Some(id) {
+            if self.nodes[pa.index()].last_child == id.0 {
                 self.nodes[pa.index()].last_child = prev;
             }
         }
         let n = &mut self.nodes[id.index()];
-        n.parent = None;
-        n.prev = None;
-        n.next = None;
+        n.parent = NONE;
+        n.prev = NONE;
+        n.next = NONE;
     }
 
     /// Replace `old` with `new` in the tree; `old` becomes detached.
     pub fn replace(&mut self, old: NodeId, new: NodeId) {
-        let parent = self.nodes[old.index()].parent.expect("replace target must be attached");
+        let parent = self.parent(old).expect("replace target must be attached");
         self.insert_before(parent, new, old);
         self.detach(old);
     }
@@ -477,7 +494,7 @@ impl Document {
     /// See [`ElementMut::set_attr`]. Panics on non-element nodes.
     fn set_attr(&mut self, id: NodeId, name: &str, value: &str) {
         let mut el = self.element_data(id).expect("set_attr on non-element node");
-        let name = self.intern(name);
+        let name = self.names.intern(name);
         let value = self.store(value);
         if let Some(slot) = self.attrs[el.attrs.range()].iter_mut().find(|s| s.name == name) {
             slot.value = value;
@@ -496,23 +513,23 @@ impl Document {
     // ---- queries -----------------------------------------------------------
 
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.index()].parent
+        linked(self.nodes[id.index()].parent)
     }
 
     pub fn first_child(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.index()].first_child
+        linked(self.nodes[id.index()].first_child)
     }
 
     pub fn last_child(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.index()].last_child
+        linked(self.nodes[id.index()].last_child)
     }
 
     pub fn next_sibling(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.index()].next
+        linked(self.nodes[id.index()].next)
     }
 
     pub fn prev_sibling(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.index()].prev
+        linked(self.nodes[id.index()].prev)
     }
 
     pub fn is_element(&self, id: NodeId) -> bool {
@@ -673,10 +690,10 @@ impl Document {
         let mut cur = id;
         while let Some(parent) = self.parent(cur) {
             let mut idx = 0u32;
-            let mut sib = self.nodes[cur.index()].prev;
+            let mut sib = self.prev_sibling(cur);
             while let Some(s) = sib {
                 idx += 1;
-                sib = self.nodes[s.index()].prev;
+                sib = self.prev_sibling(s);
             }
             key.push(idx);
             cur = parent;
@@ -957,6 +974,26 @@ mod tests {
         assert!(d.is_ancestor_of(p, ta));
         assert!(!d.is_ancestor_of(span, ta));
         assert!(!d.is_ancestor_of(ta, ta));
+    }
+
+    #[test]
+    fn nodes_stay_small() {
+        // Five `u32` links and a 16-byte payload: the arena the XPath
+        // executor walks holds about 1.5x more nodes per cache line than
+        // with `Option<NodeId>` links.
+        assert!(std::mem::size_of::<Node>() <= 40, "{}", std::mem::size_of::<Node>());
+    }
+
+    #[test]
+    fn append_child_moves_an_attached_node() {
+        let (mut d, div, p, _ta, span, _tb, tc) = sample();
+        d.append_child(span, p);
+        assert_eq!(d.first_child(div), Some(span));
+        assert_eq!(d.prev_sibling(span), None);
+        assert_eq!(d.next_sibling(span), Some(tc));
+        assert_eq!(d.last_child(span), Some(p));
+        assert_eq!(d.parent(p), Some(span));
+        assert_eq!(d.text_content(div), "bac");
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! corpus); unknown references are passed through verbatim, matching
 //! browser error tolerance.
 
-use std::borrow::Cow;
-
 /// Named entities supported by the decoder (name without `&`/`;` → char).
 static NAMED: &[(&str, &str)] = &[
     ("AElig", "Æ"),
@@ -103,8 +101,14 @@ pub fn decode_entities(input: &str) -> String {
     if !input.contains('&') {
         return input.to_string();
     }
-    let bytes = input.as_bytes();
     let mut out = String::with_capacity(input.len());
+    decode_into(input, &mut out);
+    out
+}
+
+/// [`decode_entities`], appending to `out`.
+pub(crate) fn decode_into(input: &str, out: &mut String) {
+    let bytes = input.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] != b'&' {
@@ -116,7 +120,7 @@ pub fn decode_entities(input: &str) -> String {
             out.push_str(&input[start..i]);
             continue;
         }
-        match decode_one(&input[i..], &mut out) {
+        match decode_one(&input[i..], out) {
             Some(consumed) => i += consumed,
             None => {
                 out.push('&');
@@ -124,7 +128,6 @@ pub fn decode_entities(input: &str) -> String {
             }
         }
     }
-    out
 }
 
 /// Try to decode one reference at the start of `s` (which begins with `&`),
@@ -168,15 +171,6 @@ fn decode_one(s: &str, out: &mut String) -> Option<usize> {
     let consumed = if bytes.get(end) == Some(&b';') { end + 1 } else { end };
     out.push_str(text);
     Some(consumed)
-}
-
-/// [`decode_entities`], borrowing `input` when it holds no reference.
-pub(crate) fn decode_cow(input: &str) -> Cow<'_, str> {
-    if input.contains('&') {
-        Cow::Owned(decode_entities(input))
-    } else {
-        Cow::Borrowed(input)
-    }
 }
 
 /// Escape text for HTML text-node context.

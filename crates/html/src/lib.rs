@@ -20,12 +20,14 @@
 //! A parsed document is a handful of buffers, whatever its size, rather
 //! than a few heap objects per node:
 //!
-//! - **Nodes**: one `Vec` of fixed-size [`Node`]s (tree links plus a
-//!   [`NodeData`] tag and handle), indexed by [`NodeId`].
-//! - **Names**: element and attribute names are interned atoms. Names of
-//!   HTML elements and common attributes index one static table, hashed at
-//!   compile time; any other name goes once into the document's own
-//!   overflow table. Interning lowercases, so every stored name is
+//! - **Nodes**: one `Vec` of 36-byte [`Node`]s, indexed by [`NodeId`]:
+//!   five `u32` tree links (parent, siblings, first and last child) and a
+//!   16-byte [`NodeData`] tag and handle.
+//! - **Names**: element and attribute names are interned atoms, resolved
+//!   by the tokenizer while it scans each name. Names of HTML elements and
+//!   common attributes index one static table, hashed at compile time and
+//!   matched in any case without a lowercase copy; any other name goes
+//!   once into the document's own overflow table. Every stored name is
 //!   lowercase.
 //! - **Strings**: text, comment and doctype payloads and attribute values
 //!   are `u32` byte ranges ([`Span`]s) into one `String` per document.
@@ -33,13 +35,17 @@
 //! - **Attributes**: one document-level `Vec` of `(name atom, value span)`
 //!   slots; each element owns one contiguous run of it, in source order.
 //!
-//! Parsing borrows its tokens from the input ([`Token`]) and copies each
-//! text and attribute value into the string buffer (only one holding a
-//! character reference is decoded into a temporary first). While parsing,
-//! both arenas only grow at the end, in document order: the tree builder
-//! merges adjacent text by extending the last range in place, and holds
-//! the attributes of repeated `<html>`, `<head>` and `<body>` tags aside
-//! until the end, when it gives them to those elements.
+//! Parsing is one pass. The tokenizer scans the input once, driven by a
+//! byte-class table (texts and quoted values eight bytes at a time), and
+//! hands each token straight to the tree builder, borrowing it from the
+//! input; there is no public token iterator. Each text and attribute value
+//! is copied once into the string buffer (one holding a character
+//! reference is decoded into a reused scratch buffer first). While
+//! parsing, both arenas only grow at the end, in document order: the tree
+//! builder appends each new node without unlinking it first, merges
+//! adjacent text by extending the last range in place, and holds the
+//! attributes of repeated `<html>`, `<head>` and `<body>` tags aside until
+//! the end, when it gives them to those elements.
 //! Dropping a document frees its few buffers and nothing else.
 //!
 //! **Mutation appends.** [`Document::set_text`], [`ElementMut::set_attr`] and
@@ -61,6 +67,8 @@
 //! assert_eq!(doc.text_content(cells[0]), "108 min");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod atom;
 mod dom;
 mod entities;
@@ -74,5 +82,4 @@ pub use dom::{
     NodeId, Span,
 };
 pub use entities::{decode_entities, escape_attr, escape_text};
-pub use tokenizer::{Attribute, Token, Tokenizer};
 pub use tree::parse;

@@ -15,18 +15,14 @@
 use std::collections::HashSet;
 use std::ops::Range;
 
-use crate::atom::{names::*, Atom, STATIC_LEN};
+use crate::atom::{names::*, Atom, Names, STATIC_LEN};
 use crate::dom::{Document, NodeId};
-use crate::tokenizer::{Attribute, Token, Tokenizer};
+use crate::tokenizer::{tokenize, Sink, StartTag};
 
 /// Parse an HTML string into a [`Document`].
 pub fn parse(html: &str) -> Document {
     let mut builder = Builder::new(html.len());
-    let mut tokens = Tokenizer::new(html);
-    let mut attrs = Vec::new();
-    while let Some(token) = tokens.next_into(&mut attrs) {
-        builder.token(token, &attrs);
-    }
+    tokenize(html, &mut builder);
     builder.finish()
 }
 
@@ -104,8 +100,8 @@ impl Builder {
         if let Some(h) = self.html {
             return h;
         }
-        let h = self.doc.create_element_from(HTML, &[]);
-        self.doc.append_child(Document::ROOT, h);
+        let h = self.doc.create_element_from(HTML, std::iter::empty());
+        self.doc.append_new(Document::ROOT, h);
         self.html = Some(h);
         h
     }
@@ -115,8 +111,8 @@ impl Builder {
             return h;
         }
         let html = self.ensure_html();
-        let h = self.doc.create_element_from(HEAD, &[]);
-        self.doc.append_child(html, h);
+        let h = self.doc.create_element_from(HEAD, std::iter::empty());
+        self.doc.append_new(html, h);
         self.head = Some(h);
         h
     }
@@ -130,8 +126,8 @@ impl Builder {
         // always have the html > head + body shape.
         self.ensure_head();
         let html = self.ensure_html();
-        let b = self.doc.create_element_from(BODY, &[]);
-        self.doc.append_child(html, b);
+        let b = self.doc.create_element_from(BODY, std::iter::empty());
+        self.doc.append_new(html, b);
         self.body = Some(b);
         self.in_body = true;
         self.head_stack = false;
@@ -173,115 +169,8 @@ impl Builder {
         self.topmost.get(name.index()).filter(|&&i| i != NONE).map(|&i| i as usize)
     }
 
-    // ---- tokens ---------------------------------------------------------------
-
-    fn token(&mut self, token: Token<'_>, attrs: &[Attribute<'_>]) {
-        match token {
-            Token::Doctype(name) => {
-                if self.html.is_none() {
-                    let dt = self.doc.create_doctype(name);
-                    self.doc.append_child(Document::ROOT, dt);
-                }
-            }
-            Token::Comment(text) => {
-                let c = self.doc.create_comment(text);
-                if self.html.is_none() && self.stack.is_empty() {
-                    self.doc.append_child(Document::ROOT, c);
-                } else {
-                    let p = self.parent();
-                    self.doc.append_child(p, c);
-                }
-            }
-            Token::Text(text) => self.text(&text),
-            Token::StartTag { name, self_closing, .. } => {
-                let name = self.doc.intern(&name);
-                self.start_tag(name, attrs, self_closing)
-            }
-            Token::EndTag { name } => {
-                // A name never interned was never opened.
-                if let Some(name) = self.doc.atom(&name) {
-                    self.end_tag(name)
-                }
-            }
-        }
-    }
-
-    fn text(&mut self, text: &str) {
-        if text.is_empty() {
-            return;
-        }
-        if self.stack.is_empty()
-            && !self.in_body
-            && !self.head_stack
-            && text.chars().all(char::is_whitespace)
-        {
-            // Inter-element whitespace before content starts: drop it, as
-            // browsers effectively do for the before-head/before-body modes.
-            return;
-        }
-        let parent = self.parent();
-        // Merge with a trailing text node so "a&amp;b" becomes one node.
-        if let Some(last) = self.doc.last_child(parent) {
-            if self.doc.is_text(last) {
-                self.doc.append_text(last, text);
-                return;
-            }
-        }
-        let t = self.doc.create_text(text);
-        self.doc.append_child(parent, t);
-    }
-
-    fn start_tag(&mut self, name: Atom, attrs: &[Attribute<'_>], self_closing: bool) {
-        match name {
-            HTML => {
-                let h = self.ensure_html();
-                self.merge_attrs(h, attrs);
-                return;
-            }
-            HEAD => {
-                let h = self.ensure_head();
-                self.merge_attrs(h, attrs);
-                if !self.in_body {
-                    self.head_stack = true;
-                }
-                return;
-            }
-            BODY => {
-                let b = self.ensure_body();
-                self.merge_attrs(b, attrs);
-                return;
-            }
-            _ => {}
-        }
-
-        let keeps_open = !name.is_void() && !self_closing;
-        if name.is_head_element() && !self.in_body && self.stack.is_empty() {
-            self.head_stack = true;
-            let head = self.ensure_head();
-            let el = self.doc.create_element_from(name, attrs);
-            self.doc.append_child(head, el);
-            if keeps_open {
-                self.push(el, name);
-            }
-            return;
-        }
-
-        // A non-head element at the top level ends the head phase.
-        if self.head_stack && self.stack.is_empty() {
-            self.head_stack = false;
-        }
-        self.auto_close(name);
-        let parent = self.parent();
-        let el = self.doc.create_element_from(name, attrs);
-        self.doc.append_child(parent, el);
-        if keeps_open {
-            self.push(el, name);
-        }
-    }
-
-    fn merge_attrs(&mut self, el: NodeId, attrs: &[Attribute<'_>]) {
-        for (k, v) in attrs {
-            let name = self.doc.intern(k);
+    fn merge_attrs(&mut self, el: NodeId, tag: &StartTag<'_>) {
+        for (name, v) in tag.attrs() {
             if self.merged_names.insert((el, name)) {
                 let start = self.merged_values.len();
                 self.merged_values.push_str(v);
@@ -332,6 +221,117 @@ impl Builder {
         }
     }
 
+    fn finish(mut self) -> Document {
+        // Guarantee the html/head/body skeleton even for empty input.
+        self.ensure_body();
+        for el in [self.html, self.head, self.body].into_iter().flatten() {
+            let attrs = self
+                .merged
+                .iter()
+                .filter(|m| m.el == el)
+                .map(|m| (m.name, &self.merged_values[m.value.clone()]));
+            self.doc.set_attrs_from(el, attrs);
+        }
+        self.doc
+    }
+}
+
+impl Sink for Builder {
+    fn names(&mut self) -> &mut Names {
+        self.doc.names_mut()
+    }
+
+    fn doctype(&mut self, content: &str) {
+        if self.html.is_none() {
+            let dt = self.doc.create_doctype(content);
+            self.doc.append_new(Document::ROOT, dt);
+        }
+    }
+
+    fn comment(&mut self, text: &str) {
+        let c = self.doc.create_comment(text);
+        let parent = if self.html.is_none() && self.stack.is_empty() {
+            Document::ROOT
+        } else {
+            self.parent()
+        };
+        self.doc.append_new(parent, c);
+    }
+
+    fn text(&mut self, text: &str) {
+        if text.is_empty() {
+            return;
+        }
+        if self.stack.is_empty()
+            && !self.in_body
+            && !self.head_stack
+            && text.chars().all(char::is_whitespace)
+        {
+            // Inter-element whitespace before content starts: drop it, as
+            // browsers effectively do for the before-head/before-body modes.
+            return;
+        }
+        let parent = self.parent();
+        // Merge with a trailing text node so "a&amp;b" becomes one node.
+        if let Some(last) = self.doc.last_child(parent) {
+            if self.doc.is_text(last) {
+                self.doc.append_text(last, text);
+                return;
+            }
+        }
+        let t = self.doc.create_text(text);
+        self.doc.append_new(parent, t);
+    }
+
+    fn start_tag(&mut self, tag: &StartTag<'_>) {
+        let name = tag.name;
+        match name {
+            HTML => {
+                let h = self.ensure_html();
+                self.merge_attrs(h, tag);
+                return;
+            }
+            HEAD => {
+                let h = self.ensure_head();
+                self.merge_attrs(h, tag);
+                if !self.in_body {
+                    self.head_stack = true;
+                }
+                return;
+            }
+            BODY => {
+                let b = self.ensure_body();
+                self.merge_attrs(b, tag);
+                return;
+            }
+            _ => {}
+        }
+
+        let keeps_open = !name.is_void() && !tag.self_closing;
+        if name.is_head_element() && !self.in_body && self.stack.is_empty() {
+            self.head_stack = true;
+            let head = self.ensure_head();
+            let el = self.doc.create_element_from(name, tag.attrs());
+            self.doc.append_new(head, el);
+            if keeps_open {
+                self.push(el, name);
+            }
+            return;
+        }
+
+        // A non-head element at the top level ends the head phase.
+        if self.head_stack && self.stack.is_empty() {
+            self.head_stack = false;
+        }
+        self.auto_close(name);
+        let parent = self.parent();
+        let el = self.doc.create_element_from(name, tag.attrs());
+        self.doc.append_new(parent, el);
+        if keeps_open {
+            self.push(el, name);
+        }
+    }
+
     fn end_tag(&mut self, name: Atom) {
         match name {
             HTML | BODY => return, // structure is synthesised
@@ -350,20 +350,6 @@ impl Builder {
         if let Some(i) = self.nearest(name) {
             self.truncate(i);
         }
-    }
-
-    fn finish(mut self) -> Document {
-        // Guarantee the html/head/body skeleton even for empty input.
-        self.ensure_body();
-        for el in [self.html, self.head, self.body].into_iter().flatten() {
-            let attrs = self
-                .merged
-                .iter()
-                .filter(|m| m.el == el)
-                .map(|m| (m.name, &self.merged_values[m.value.clone()]));
-            self.doc.set_attrs_from(el, attrs);
-        }
-        self.doc
     }
 }
 

@@ -6,7 +6,9 @@
 //! reallocation made while parsing. A typical ~25 KB detail page wrapped
 //! in site chrome, with about a thousand nodes, must parse in at most 64
 //! of them, and a page ten times larger in at most 32 more: the arenas
-//! grow geometrically, so size adds only a few regrowths. The allocator
+//! grow geometrically, so size adds only a few regrowths. The same holds
+//! for the page in the paper's uppercase markup (`<TABLE BORDER=1>`):
+//! names resolve in any case without a lowercase copy. The allocator
 //! also tracks live bytes, so the memory a parse holds at its peak is
 //! bounded by a multiple of the input, whatever the markup.
 
@@ -117,6 +119,29 @@ fn with_chrome(html: &str, target: usize, nesting: usize) -> String {
     out
 }
 
+/// `html` with every tag and attribute name uppercased, as in the
+/// paper's figures (`<TABLE BORDER=1><TR><TD>`); quoted values and text
+/// keep their case.
+fn uppercase_names(html: &str) -> String {
+    let (mut in_tag, mut quote) = (false, None);
+    html.chars()
+        .map(|c| {
+            match (in_tag, quote, c) {
+                (true, Some(q), _) if c == q => quote = None,
+                (true, None, '"' | '\'') => quote = Some(c),
+                (true, None, '>') => in_tag = false,
+                (false, _, '<') => in_tag = true,
+                _ => {}
+            }
+            if in_tag && quote.is_none() {
+                c.to_ascii_uppercase()
+            } else {
+                c
+            }
+        })
+        .collect()
+}
+
 #[test]
 fn parse_allocates_a_few_buffers_per_document() {
     let movie = movie::generate(&MovieSiteSpec {
@@ -126,19 +151,25 @@ fn parse_allocates_a_few_buffers_per_document() {
         ..Default::default()
     });
     let shop = products::generate(&ProductSiteSpec { n_pages: 1, seed: 3, ..Default::default() });
-    for page in [&movie.pages[0].html, &shop.pages[0].html] {
-        let typical = with_chrome(page, 25_000, 3);
-        let large = with_chrome(page, 250_000, 3);
+    let (movie, shop) = (&movie.pages[0].html, &shop.pages[0].html);
+    let pages: [(&str, &dyn Fn(usize) -> String); 3] = [
+        ("movie", &|target| with_chrome(movie, target, 3)),
+        ("product", &|target| with_chrome(shop, target, 3)),
+        ("uppercase movie", &|target| uppercase_names(&with_chrome(movie, target, 3))),
+    ];
+    for (what, page) in pages {
+        let typical = page(25_000);
+        let large = page(250_000);
         let (small_allocs, small_nodes) = parse_allocations(&typical);
         let (large_allocs, large_nodes) = parse_allocations(&large);
         println!(
-            "{} bytes, {small_nodes} nodes: {small_allocs} allocations; \
+            "{what}: {} bytes, {small_nodes} nodes: {small_allocs} allocations; \
              {} bytes, {large_nodes} nodes: {large_allocs} allocations",
             typical.len(),
             large.len()
         );
         assert!(small_nodes > 800, "the typical page should be realistic: {small_nodes} nodes");
-        assert!(small_allocs <= 64, "{small_allocs} allocations for a ~25 KB page");
+        assert!(small_allocs <= 64, "{what}: {small_allocs} allocations for a ~25 KB page");
         assert!(
             large_allocs <= small_allocs + 32,
             "{large_allocs} allocations for a 10x page vs {small_allocs}"

@@ -15,6 +15,7 @@ use retrozilla::{
     detect_failures_compiled, extract_cluster_compiled, extract_cluster_parallel_compiled_to,
     ClusterRules, JsonLinesSink, SamplePage, XmlWriterSink,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Cap on `?threads=` for batch extraction.
@@ -215,7 +216,7 @@ fn put_cluster(state: &ServiceState, name: &str, req: &Request) -> Response {
         return Response::json(400, &body);
     }
     let n_rules = rules.rules.len();
-    let replaced = state.repo().get(name).is_some();
+    let replaced = state.repo().contains(name);
     // Durable before acknowledged: in WAL mode this is one fsynced
     // O(change) log append (plus the in-memory hot reload), not a whole-
     // repository rewrite. A failed fsync leaves the old rules live.
@@ -285,8 +286,8 @@ fn delete_cluster(state: &ServiceState, name: &str) -> Response {
 /// (the encoding the XML output itself declares) must not be lossily
 /// replaced with U+FFFD. Latin-1 decoding is total, so the fallback for
 /// undeclared non-UTF-8 bytes is lossless too.
-fn decode_page_body(req: &Request) -> String {
-    let latin1 = |bytes: &[u8]| -> String { bytes.iter().map(|&b| b as char).collect() };
+fn decode_page_body(req: &Request) -> Cow<'_, str> {
+    let latin1 = |bytes: &[u8]| Cow::Owned(bytes.iter().map(|&b| b as char).collect());
     let charset = req
         .header("content-type")
         .and_then(|ct| ct.to_ascii_lowercase().split("charset=").nth(1).map(str::to_string))
@@ -294,21 +295,22 @@ fn decode_page_body(req: &Request) -> String {
     match charset.as_deref() {
         Some(cs) if cs.starts_with("iso-8859-1") || cs.starts_with("latin1") => latin1(&req.body),
         _ => match std::str::from_utf8(&req.body) {
-            Ok(s) => s.to_string(),
+            Ok(s) => Cow::Borrowed(s),
             Err(_) => latin1(&req.body),
         },
     }
 }
 
 /// `POST /extract/{name}`: body is one HTML page; the page URI comes
-/// from the `X-Page-Uri` header when present.
+/// from the `X-Page-Uri` header when present. The cluster is looked up
+/// first, so a request for an unknown one is answered without decoding
+/// or parsing its body.
 fn extract_one(state: &ServiceState, name: &str, req: &Request) -> Response {
-    let uri = req.header("x-page-uri").unwrap_or("page").to_string();
-    let html = decode_page_body(req);
-    let pages = vec![(uri, retroweb_html::parse(&html))];
     let Some(compiled) = state.repo().compiled(name) else {
         return unknown_cluster(name);
     };
+    let uri = req.header("x-page-uri").unwrap_or("page").to_string();
+    let pages = vec![(uri, retroweb_html::parse(&decode_page_body(req)))];
     let result = extract_cluster_compiled(&compiled, &pages);
     state.metrics().add_pages_extracted(1);
     state.metrics().add_failures_detected(result.failures.len());

@@ -360,6 +360,29 @@ fn latin1_page_bodies_decode_losslessly() {
     handle.shutdown();
 }
 
+/// A page sent to a cluster that does not exist is answered 404 from the
+/// cluster lookup alone, however large it is, and extracts nothing; the
+/// connection then serves the next request.
+#[test]
+fn large_page_for_unknown_cluster_is_404_without_extraction() {
+    let handle = start_server(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let row = "<tr><td><b>Runtime:</b></td><td>108 min</td></tr>\n";
+    let big = format!("<html><body><table>{}</table></body></html>", row.repeat(200_000));
+    assert!(big.len() > 8 << 20, "{} bytes", big.len());
+    let resp = client.request("POST", "/extract/no-such-cluster", &[], big.as_bytes()).unwrap();
+    assert_eq!(resp.status, 404);
+    assert!(resp.body_utf8().contains("no-such-cluster"), "{}", resp.body_utf8());
+    let (_, html) = &demo_pages(1)[0];
+    let resp =
+        client.request("POST", &format!("/extract/{DEMO_CLUSTER}"), &[], html.as_bytes()).unwrap();
+    assert_eq!(resp.status, 200);
+    let resp = client.request("GET", "/metrics", &[], b"").unwrap();
+    let metrics = resp.body_json().unwrap();
+    assert_eq!(metrics.get("pages_extracted").unwrap().as_u64(), Some(1), "{metrics}");
+    handle.shutdown();
+}
+
 /// The streaming acceptance criterion: `/extract/{c}/batch` responds
 /// with chunked Transfer-Encoding, and the decoded body is byte-
 /// identical to the pre-streaming buffered output (= a direct
